@@ -1,38 +1,31 @@
-// Scan-engine benchmark: (1) the site-side matcher — seed-style naive
-// matching (per-record failure-table construction via FindOccurrences)
-// against the compiled query (tables built once per scan); (2) the scan
-// executor itself — the old spawn-threads-per-batch scheme against the
-// persistent ScanWorkerPool, with and without intra-bucket sharding;
-// (3) end-to-end encrypted search on the phonebook workload, serial vs
-// pooled vs pooled+sharded index scans. Emits one JSON object so CI can
-// track the numbers.
+// Scan benchmark: (1) the BatchMatcher kernel alone — BatchMatcher::Matches
+// over index streams that are already decoded, so it leaves out the
+// DeserializeStreamInto decode every real bucket scan pays before matching
+// (checked against the naive FindOccurrences matcher, untimed); (2)
+// end-to-end encrypted search on the phonebook workload, serial vs pooled
+// index scans (the pool evaluates whole buckets, one per worker at a
+// time). Emits one JSON object so CI can track the numbers.
 //
-// Scale with ESSDDS_RECORDS=<n> (default 20,000 — the matcher contrast is
-// size-independent, the executor and end-to-end parts are wall-clock
-// bound).
+// Scale with ESSDDS_RECORDS=<n> (default 20,000 — the kernel rate is
+// size-independent, the end-to-end part is wall-clock bound).
 
 #include <chrono>
 #include <cstdio>
-#include <limits>
-#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
 #if ESSDDS_THREADS
-#include <atomic>
 #include <thread>
 #endif
 
 #include "bench/bench_util.h"
 #include "core/batch_matcher.h"
-#include "core/compiled_query.h"
 #include "core/encrypted_store.h"
 #include "core/matcher.h"
 #include "core/pipeline.h"
 #include "obs/metrics.h"
-#include "sdds/scan_executor.h"
 #include "util/json_writer.h"
-#include "util/random.h"
 
 namespace essdds::bench {
 namespace {
@@ -50,8 +43,8 @@ struct IndexedStream {
   std::vector<uint64_t> stream;
 };
 
-/// The seed's per-record matching path: FindOccurrences builds the KMP
-/// failure table (and an occurrence vector) anew for every record.
+/// Reference matching: FindOccurrences per series pattern, the oracle the
+/// kernel's hit count is checked against.
 bool NaiveMatch(const core::SearchQuery& query, const IndexedStream& rec) {
   for (const core::QuerySeries& s : query.SeriesFor(rec.family)) {
     const std::vector<uint64_t>& pattern = query.PatternFor(s, rec.site);
@@ -61,14 +54,12 @@ bool NaiveMatch(const core::SearchQuery& query, const IndexedStream& rec) {
 }
 
 struct MatcherNumbers {
-  double naive_records_per_sec = 0;
-  double compiled_records_per_sec = 0;
-  double columnar_records_per_sec = 0;
+  double decoded_records_per_sec = 0;
   size_t records = 0;
   size_t matched = 0;
 };
 
-MatcherNumbers RunMatcherContrast(size_t corpus_size) {
+MatcherNumbers RunMatcherKernel(size_t corpus_size) {
   const core::SchemeParams params{.codes_per_chunk = 4, .dispersal_sites = 2};
   auto corpus = LoadCorpus(corpus_size);
   std::vector<std::string> training;
@@ -93,193 +84,40 @@ MatcherNumbers RunMatcherContrast(size_t corpus_size) {
   MatcherNumbers out;
   out.records = records.size();
 
-  // Several passes so each side runs long enough to time reliably.
-  const int kPasses = 5;
   size_t naive_matched = 0;
-  auto t0 = Clock::now();
-  for (int pass = 0; pass < kPasses; ++pass) {
-    for (const IndexedStream& rec : records) {
-      naive_matched += NaiveMatch(query, rec) ? 1 : 0;
-    }
-  }
-  const double naive_s = SecondsSince(t0);
-
-  const core::CompiledQuery compiled{core::SearchQuery(query)};
-  size_t compiled_matched = 0;
-  t0 = Clock::now();
-  for (int pass = 0; pass < kPasses; ++pass) {
-    for (const IndexedStream& rec : records) {
-      compiled_matched +=
-          compiled.Matches(rec.family, rec.site, rec.stream) ? 1 : 0;
-    }
-  }
-  const double compiled_s = SecondsSince(t0);
-  ESSDDS_CHECK(naive_matched == compiled_matched)
-      << "matcher disagreement: " << naive_matched << " vs "
-      << compiled_matched;
-
-  // Columnar/batch leg: decoded streams packed into one contiguous value
-  // arena with offset/length arrays — the layout a bucket's ColumnStore
-  // presents to a scan shard — driven through the bit-parallel BatchMatcher.
-  std::vector<uint64_t> arena;
-  std::vector<size_t> offsets, lengths;
-  std::vector<uint32_t> families, sites;
-  offsets.reserve(records.size());
-  lengths.reserve(records.size());
-  families.reserve(records.size());
-  sites.reserve(records.size());
   for (const IndexedStream& rec : records) {
-    offsets.push_back(arena.size());
-    lengths.push_back(rec.stream.size());
-    families.push_back(rec.family);
-    sites.push_back(rec.site);
-    arena.insert(arena.end(), rec.stream.begin(), rec.stream.end());
+    naive_matched += NaiveMatch(query, rec) ? 1 : 0;
   }
+
+  // Several passes so the kernel runs long enough to time reliably.
+  const int kPasses = 5;
   const core::BatchMatcher batch(&query);
-  size_t columnar_matched = 0;
-  t0 = Clock::now();
+  size_t batch_matched = 0;
+  const auto t0 = Clock::now();
   for (int pass = 0; pass < kPasses; ++pass) {
-    for (size_t i = 0; i < offsets.size(); ++i) {
-      columnar_matched +=
-          batch.Matches(families[i], sites[i],
-                        std::span<const uint64_t>(arena.data() + offsets[i],
-                                                  lengths[i]))
-              ? 1
-              : 0;
+    for (const IndexedStream& rec : records) {
+      batch_matched += batch.Matches(rec.family, rec.site, rec.stream) ? 1 : 0;
     }
   }
-  const double columnar_s = SecondsSince(t0);
-  ESSDDS_CHECK(columnar_matched == compiled_matched)
-      << "batch matcher disagreement: " << columnar_matched << " vs "
-      << compiled_matched;
+  const double batch_s = SecondsSince(t0);
+  ESSDDS_CHECK(batch_matched == naive_matched * kPasses)
+      << "batch matcher disagreement: " << batch_matched / kPasses << " vs "
+      << naive_matched;
 
-  const double total = static_cast<double>(records.size()) * kPasses;
-  out.naive_records_per_sec = total / naive_s;
-  out.compiled_records_per_sec = total / compiled_s;
-  out.columnar_records_per_sec = total / columnar_s;
-  out.matched = compiled_matched / kPasses;
+  out.decoded_records_per_sec =
+      static_cast<double>(records.size()) * kPasses / batch_s;
+  out.matched = naive_matched;
   return out;
 }
-
-// --- scan executor: spawn-per-batch vs persistent pool vs sharding ---
-
-struct ExecutorNumbers {
-  size_t buckets = 0;
-  size_t records_per_bucket = 0;
-  size_t batches = 0;
-  double spawn_batches_per_sec = 0;
-  double pool_batches_per_sec = 0;
-  double sharded_batches_per_sec = 0;
-  size_t hits = 0;  // per batch, identical across executors (checked)
-};
-
-#if ESSDDS_THREADS
-
-/// Synthetic scan batch over `buckets`; fresh tasks each call (a real drain
-/// rebuilds its batch too), the record maps are shared and read-only.
-std::vector<sdds::ScanTask> MakeExecutorBatch(
-    const std::vector<std::map<uint64_t, Bytes>>& buckets,
-    const sdds::ScanFilter& filter) {
-  std::vector<sdds::ScanTask> tasks;
-  tasks.reserve(buckets.size());
-  for (size_t b = 0; b < buckets.size(); ++b) {
-    sdds::ScanTask task;
-    task.bucket = b;
-    task.records = &buckets[b];
-    task.filter = &filter;
-    tasks.push_back(std::move(task));
-  }
-  return tasks;
-}
-
-/// The pre-pool executor, reproduced for the contrast: spawn `threads`
-/// threads for every batch, pull tasks off a shared atomic index, join.
-void SpawnPerBatch(std::vector<sdds::ScanTask>& tasks, size_t threads) {
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (size_t w = 0; w < threads; ++w) {
-    workers.emplace_back([&] {
-      for (size_t i = next.fetch_add(1); i < tasks.size();
-           i = next.fetch_add(1)) {
-        sdds::ExecuteScanTask(tasks[i]);
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-}
-
-ExecutorNumbers RunExecutorContrast(size_t threads) {
-  ExecutorNumbers out;
-  out.buckets = 8;
-  out.records_per_bucket = 4096;
-  out.batches = 300;
-
-  Rng rng(20060401);
-  std::vector<std::map<uint64_t, Bytes>> buckets(out.buckets);
-  for (auto& bucket : buckets) {
-    while (bucket.size() < out.records_per_bucket) {
-      const uint64_t k = rng.Next();
-      bucket[k] = ToBytes("record-" + std::to_string(k));
-    }
-  }
-  // Representative per-record work: touch every value byte (a checksum
-  // standing in for substring evaluation), hit on the low bits.
-  auto filter = sdds::MakeScanFilter([](uint64_t, ByteSpan value, ByteSpan) {
-    uint32_t sum = 0;
-    for (uint8_t byte : value) sum = sum * 31 + byte;
-    return (sum & 7) == 0;
-  });
-
-  auto count_hits = [](const std::vector<sdds::ScanTask>& tasks) {
-    size_t hits = 0;
-    for (const sdds::ScanTask& t : tasks) hits += t.reply.records.size();
-    return hits;
-  };
-
-  auto time_executor = [&](auto&& run_batch) {
-    // One warm-up batch (first pool batch starts the workers), then timed.
-    auto warm = MakeExecutorBatch(buckets, *filter);
-    run_batch(warm);
-    const size_t hits = count_hits(warm);
-    ESSDDS_CHECK(out.hits == 0 || hits == out.hits)
-        << "executor disagreement: " << hits << " vs " << out.hits;
-    out.hits = hits;
-    auto t0 = Clock::now();
-    for (size_t i = 0; i < out.batches; ++i) {
-      auto batch = MakeExecutorBatch(buckets, *filter);
-      run_batch(batch);
-    }
-    return static_cast<double>(out.batches) / SecondsSince(t0);
-  };
-
-  out.spawn_batches_per_sec = time_executor(
-      [&](std::vector<sdds::ScanTask>& b) { SpawnPerBatch(b, threads); });
-  sdds::ScanWorkerPool pool(threads);
-  out.pool_batches_per_sec = time_executor([&](std::vector<sdds::ScanTask>& b) {
-    pool.Run(b, std::numeric_limits<size_t>::max());
-  });
-  out.sharded_batches_per_sec = time_executor(
-      [&](std::vector<sdds::ScanTask>& b) { pool.Run(b, 256); });
-  return out;
-}
-
-#else  // !ESSDDS_THREADS
-
-ExecutorNumbers RunExecutorContrast(size_t) { return {}; }
-
-#endif  // ESSDDS_THREADS
 
 struct ScanNumbers {
   double ms_per_search = 0;
   double index_records_per_sec = 0;
   size_t hits = 0;
-  // Batch-shape histograms from the index network's metric registry
-  // (zero-count with -DESSDDS_METRICS=OFF): tasks per drained batch and
-  // shards those tasks split into. Serial scans never batch, so both stay
-  // empty in the serial leg.
+  // Batch-shape histogram from the index network's metric registry
+  // (zero-count with -DESSDDS_METRICS=OFF): tasks (buckets) per drained
+  // batch. Serial scans never batch, so it stays empty in the serial leg.
   obs::Histogram::Summary batch_tasks;
-  obs::Histogram::Summary batch_shards;
 };
 
 /// Emits a Histogram::Summary as the next value (an object).
@@ -293,15 +131,12 @@ void SummaryValue(JsonWriter& w, const obs::Histogram::Summary& s) {
       .EndObject();
 }
 
-ScanNumbers RunStoreSearches(size_t corpus_size, size_t scan_threads,
-                             size_t shard_min_records =
-                                 sdds::LhOptions{}.scan_shard_min_records) {
+ScanNumbers RunStoreSearches(size_t corpus_size, size_t scan_threads) {
   core::EncryptedStore::Options opts;
   opts.params = core::SchemeParams{.codes_per_chunk = 4, .dispersal_sites = 2};
   opts.record_file.bucket_capacity = 64;
   opts.index_file.bucket_capacity = 128;
   opts.index_file.scan_threads = scan_threads;
-  opts.index_file.scan_shard_min_records = shard_min_records;
   auto store =
       core::EncryptedStore::Create(opts, ToBytes("perf-scan-key"), {});
   ESSDDS_CHECK(store.ok()) << store.status();
@@ -333,7 +168,6 @@ ScanNumbers RunStoreSearches(size_t corpus_size, size_t scan_threads,
       index_records * static_cast<double>(queries.size()) / elapsed;
   obs::MetricRegistry& metrics = (*store)->index_file().network().metrics();
   out.batch_tasks = metrics.histogram("scan.batch_tasks").Summarize();
-  out.batch_shards = metrics.histogram("scan.batch_shards").Summarize();
   return out;
 }
 
@@ -346,19 +180,10 @@ int Main() {
   const size_t threads = 0;  // thread support compiled out
 #endif
 
-  // Shard threshold for the sharded legs: low enough that the 128-capacity
-  // index buckets actually shard.
-  const size_t shard_min = 32;
-
-  const MatcherNumbers m = RunMatcherContrast(corpus_size);
-  const ExecutorNumbers ex = RunExecutorContrast(threads > 0 ? threads : 2);
+  const MatcherNumbers m = RunMatcherKernel(corpus_size);
   const ScanNumbers serial = RunStoreSearches(corpus_size, 0);
   const ScanNumbers parallel = RunStoreSearches(corpus_size, threads);
-  const ScanNumbers sharded =
-      RunStoreSearches(corpus_size, threads, shard_min);
-
-  const bool hits_agree =
-      serial.hits == parallel.hits && serial.hits == sharded.hits;
+  const bool hits_agree = serial.hits == parallel.hits;
 
   JsonWriter w;
   w.BeginObject();
@@ -366,51 +191,19 @@ int Main() {
   w.Key("matcher").BeginObject();
   w.KV("index_records", static_cast<uint64_t>(m.records));
   w.KV("records_matched", static_cast<uint64_t>(m.matched));
-  w.KV("naive_records_per_sec", m.naive_records_per_sec, 0);
-  w.KV("compiled_records_per_sec", m.compiled_records_per_sec, 0);
-  w.KV("columnar_records_per_sec", m.columnar_records_per_sec, 0);
-  w.KV("speedup", m.compiled_records_per_sec / m.naive_records_per_sec, 2);
-  w.KV("columnar_speedup_vs_compiled",
-       m.columnar_records_per_sec / m.compiled_records_per_sec, 2);
-  w.EndObject();
-  w.Key("executor").BeginObject();
-  w.KV("threads", static_cast<uint64_t>(threads));
-  w.KV("buckets", static_cast<uint64_t>(ex.buckets));
-  w.KV("records_per_bucket", static_cast<uint64_t>(ex.records_per_bucket));
-  w.KV("batches", static_cast<uint64_t>(ex.batches));
-  w.KV("hits_per_batch", static_cast<uint64_t>(ex.hits));
-  w.KV("spawn_per_batch_batches_per_sec", ex.spawn_batches_per_sec, 1);
-  w.KV("pool_batches_per_sec", ex.pool_batches_per_sec, 1);
-  w.KV("pool_sharded_batches_per_sec", ex.sharded_batches_per_sec, 1);
-  w.KV("pool_speedup_vs_spawn",
-       ex.spawn_batches_per_sec > 0
-           ? ex.pool_batches_per_sec / ex.spawn_batches_per_sec
-           : 0.0,
-       2);
-  w.KV("sharded_speedup_vs_spawn",
-       ex.spawn_batches_per_sec > 0
-           ? ex.sharded_batches_per_sec / ex.spawn_batches_per_sec
-           : 0.0,
-       2);
+  w.KV("batch_matcher_decoded_records_per_sec", m.decoded_records_per_sec, 0);
   w.EndObject();
   w.Key("search").BeginObject();
   w.KV("scan_threads", static_cast<uint64_t>(threads));
-  w.KV("shard_min_records", static_cast<uint64_t>(shard_min));
   w.KV("serial_ms_per_search", serial.ms_per_search, 2);
   w.KV("parallel_ms_per_search", parallel.ms_per_search, 2);
-  w.KV("sharded_ms_per_search", sharded.ms_per_search, 2);
   w.KV("serial_index_records_per_sec", serial.index_records_per_sec, 0);
   w.KV("parallel_index_records_per_sec", parallel.index_records_per_sec, 0);
-  w.KV("sharded_index_records_per_sec", sharded.index_records_per_sec, 0);
   w.KV("hits_agree", hits_agree);
-  // Batch-shape histograms of the measured phase (metrics builds only;
-  // zero-count objects with -DESSDDS_METRICS=OFF).
+  // Batch-shape histogram of the measured phase (metrics builds only;
+  // a zero-count object with -DESSDDS_METRICS=OFF).
   w.Key("parallel_batch_tasks");
   SummaryValue(w, parallel.batch_tasks);
-  w.Key("sharded_batch_tasks");
-  SummaryValue(w, sharded.batch_tasks);
-  w.Key("sharded_batch_shards");
-  SummaryValue(w, sharded.batch_shards);
   w.EndObject();
   w.EndObject();
   std::printf("%s\n", w.str().c_str());

@@ -19,6 +19,8 @@
 #include <string>
 
 #include "net/bucket_host.h"
+#include "sdds/scan_executor.h"
+#include "util/bytes.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
 
@@ -57,10 +59,10 @@ int Usage(const char* argv0) {
       "                   tcp:host:port), host 0 first\n"
       "  --host N         this process's index into the cluster list\n"
       "  --capacity N     records per bucket before a split (default 64)\n"
-      "  --scan-threads N parallel scan workers (default 0 = inline)\n"
+      "  --scan-threads N parallel scan workers 0..%zu (0 = inline)\n"
       "  --data-dir DIR   durable encrypted bucket logs (default RAM-only)\n"
       "  --metrics PATH   write a metrics JSON on shutdown ('-' = stdout)\n",
-      argv0);
+      argv0, essdds::sdds::ScanWorkerPool::kMaxThreads);
   return 2;
 }
 
@@ -90,8 +92,14 @@ int main(int argc, char** argv) {
       lh.bucket_capacity =
           static_cast<size_t>(std::strtoull(next(), nullptr, 10));
     } else if (arg == "--scan-threads") {
-      lh.scan_threads =
-          static_cast<size_t>(std::strtoull(next(), nullptr, 10));
+      auto threads = essdds::ParseDecimal(
+          next(), essdds::sdds::ScanWorkerPool::kMaxThreads);
+      if (!threads.ok()) {
+        std::fprintf(stderr, "bad --scan-threads: %s\n",
+                     threads.status().ToString().c_str());
+        return Usage(argv[0]);
+      }
+      lh.scan_threads = static_cast<size_t>(*threads);
     } else if (arg == "--data-dir") {
       data_dir = next();
     } else if (arg == "--metrics") {

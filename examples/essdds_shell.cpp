@@ -8,17 +8,16 @@
 //   stats
 //   EOF
 //
-// A second positional argument sets the index scan thread count (0 =
-// serial). Flags select and tune the network simulation carrying both LH*
-// files:
+// The first positional argument is the synthetic record count (default
+// 2000). A second sets the index scan thread count, 0..256 (0 or 1 =
+// serial; more evaluates whole index buckets on a worker pool). Flags
+// select and tune the network simulation carrying both LH* files:
 //
 //   --net=event        discrete-event network (latency, reordering, retries)
 //   --net-seed=N       event schedule seed (default 1)
 //   --latency=MIN:MAX  per-message latency range, microseconds of virtual time
 //   --drop=P           drop probability for client key traffic (0..1)
 //   --dup=P            duplicate probability for client key traffic (0..1)
-//   --shard-min=N      bucket record count above which index scans shard the
-//                      bucket across the worker pool (needs scan threads > 1)
 //
 // High availability (DESIGN.md §16; recovery needs --net=event):
 //
@@ -63,6 +62,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -73,6 +73,8 @@
 #include "net/admin.h"
 #include "obs/trace.h"
 #include "sdds/event_network.h"
+#include "sdds/scan_executor.h"
+#include "util/bytes.h"
 #include "util/json_writer.h"
 #include "workload/phonebook.h"
 
@@ -286,7 +288,6 @@ int main(int argc, char** argv) {
   size_t scan_threads = 0;
   size_t parity_k = 0;
   size_t parity_m = 0;
-  size_t shard_min = essdds::sdds::LhOptions{}.scan_shard_min_records;
   NetConfig net;
   std::string data_dir;
   bool fsync_logs = false;
@@ -299,10 +300,7 @@ int main(int argc, char** argv) {
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--shard-min=", 0) == 0) {
-      shard_min = static_cast<size_t>(
-          std::strtoull(arg.c_str() + sizeof("--shard-min=") - 1, nullptr, 10));
-    } else if (arg.rfind("--parity=", 0) == 0) {
+    if (arg.rfind("--parity=", 0) == 0) {
       unsigned k = 0, m = 0;
       if (std::sscanf(arg.c_str() + sizeof("--parity=") - 1, "%u:%u", &k,
                       &m) != 2 ||
@@ -333,11 +331,21 @@ int main(int argc, char** argv) {
       cluster_spec = arg.substr(sizeof("--cluster=") - 1);
     } else if (arg.rfind("--", 0) == 0) {
       if (!ParseNetFlag(arg, &net)) return 2;
-    } else if (positional == 0) {
-      n = static_cast<size_t>(std::atoll(arg.c_str()));
-      ++positional;
-    } else if (positional == 1) {
-      scan_threads = static_cast<size_t>(std::atoll(arg.c_str()));
+    } else if (positional <= 1) {
+      // Record count, then scan thread count: plain decimals only, so a
+      // negative or mistyped value is an error instead of a wrapped
+      // SIZE_MAX.
+      const uint64_t max = positional == 0
+                               ? std::numeric_limits<size_t>::max()
+                               : essdds::sdds::ScanWorkerPool::kMaxThreads;
+      auto value = essdds::ParseDecimal(arg, max);
+      if (!value.ok()) {
+        std::fprintf(stderr, "bad %s: %s\n",
+                     positional == 0 ? "record count" : "scan thread count",
+                     value.status().ToString().c_str());
+        return 2;
+      }
+      (positional == 0 ? n : scan_threads) = static_cast<size_t>(*value);
       ++positional;
     } else {
       std::fprintf(stderr, "too many positional arguments\n");
@@ -362,7 +370,6 @@ int main(int argc, char** argv) {
   options.record_file.bucket_capacity = 128;
   options.index_file.bucket_capacity = 512;
   options.index_file.scan_threads = scan_threads;
-  options.index_file.scan_shard_min_records = shard_min;
   for (essdds::sdds::LhOptions* file :
        {&options.record_file, &options.index_file}) {
     file->network_mode = net.mode;

@@ -9,8 +9,8 @@ namespace essdds::core {
 BatchMatcher::BatchMatcher(const SearchQuery* query) : query_(query) {
   ESSDDS_CHECK(query != nullptr);
   sites_ = query_->effective_sites();
-  // The clamp must agree with CompiledQuery's (both route a zero-site query
-  // to the undispersed `chunks` stream); wire queries additionally have
+  // The clamp routes a zero-site query to the undispersed `chunks` stream,
+  // as SearchQuery::PatternFor does; wire queries additionally have
   // dispersal_sites >= 1 enforced at Deserialize.
   ESSDDS_DCHECK(sites_ == (query_->dispersal_sites > 1
                                ? query_->dispersal_sites

@@ -14,13 +14,14 @@
 
 namespace essdds::core {
 
-/// Bit-parallel batch matcher: the SearchQuery's per-(family, dispersal
-/// site) pattern sets compiled into multi-pattern Shift-And automata. Where
-/// CompiledQuery runs one KMP pass per series pattern, this matcher packs
-/// every pattern of a (family, site) program into 64-bit automaton words —
-/// one pass over the stream advances all of them at once — which is what
-/// makes the columnar scan path (many packed records per call, one stream
-/// decode each) pay off.
+/// Bit-parallel batch matcher — the one production matcher: the
+/// SearchQuery's per-(family, dispersal site) pattern sets compiled into
+/// multi-pattern Shift-And automata. Rather than one KMP pass per series
+/// pattern, it packs every pattern of a (family, site) program into 64-bit
+/// automaton words — one pass over the stream advances all of them at once
+/// — which is what makes the columnar scan path (many packed records per
+/// call, one stream decode each) pay off. It serves both the site-side
+/// scan and the client-side position confirmation.
 ///
 /// Construction: patterns whose length fits a machine word (<= 64 stream
 /// values) are concatenated into as few Shift-And groups as possible; a
@@ -34,7 +35,7 @@ namespace essdds::core {
 /// fast path). Patterns longer than 64 values fall back to the same
 /// KMP the scalar matcher runs.
 ///
-/// Semantics match CompiledQuery exactly (the property tests pit them
+/// Semantics match the naive scan exactly (the property tests pit the two
 /// against each other): empty patterns never match, out-of-range families
 /// and sites never match, and ForEachOccurrence reports every occurrence of
 /// every series pattern (occurrence *order* is unspecified; the
@@ -54,7 +55,7 @@ class BatchMatcher {
   const SearchQuery& query() const { return *query_; }
 
   /// True when any query series matches the index stream of (family, site).
-  /// Agrees with CompiledQuery::Matches on every input. Defined inline: this
+  /// Agrees with the naive scan on every input. Defined inline: this
   /// is the per-record call of the columnar scan loop, where call overhead
   /// is on the order of the match itself for short piece streams.
   bool Matches(uint32_t family, uint32_t site,
@@ -65,8 +66,8 @@ class BatchMatcher {
   }
 
   /// Invokes fn(series_alignment, chunk_index) for every occurrence of
-  /// every series pattern of (family, site) in `stream`. Same occurrence
-  /// *set* as CompiledQuery::ForEachOccurrence; order unspecified.
+  /// every series pattern of (family, site) in `stream`, overlapping
+  /// occurrences included; order unspecified.
   template <typename Fn>
   void ForEachOccurrence(uint32_t family, uint32_t site,
                          std::span<const uint64_t> stream, Fn&& fn) const {

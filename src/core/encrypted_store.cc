@@ -61,15 +61,14 @@ class MatchScanFilter : public sdds::ScanFilter {
       return matcher_.Matches(family, site, scratch);
     }
 
-    /// Columnar batch path: streams the packed arena sequentially (the
-    /// shard's offset range) and runs the bit-parallel matcher per decoded
-    /// stream. Hit records are emitted in slice order — ascending key — so
-    /// the reply is byte-identical to the per-record Matches walk.
-    void MatchColumns(const sdds::ColumnSlice& slice, size_t begin,
-                      size_t end,
+    /// Columnar batch path: streams the bucket's packed arena sequentially
+    /// and runs the bit-parallel matcher per decoded stream. Hit records
+    /// are emitted in slice order — ascending key — so the reply is
+    /// byte-identical to the per-record Matches walk.
+    void MatchColumns(const sdds::ColumnSlice& slice,
                       std::vector<sdds::WireRecord>* out) const override {
       static thread_local std::vector<uint64_t> scratch;
-      for (size_t i = begin; i < end; ++i) {
+      for (size_t i = 0; i < slice.count; ++i) {
         const uint64_t key = slice.keys[i];
         uint64_t rid;
         uint32_t family, site;

@@ -22,7 +22,6 @@ BucketHost::BucketHost(Config config) : config_(std::move(config)) {
   net_->set_materialize([this](uint64_t bucket) { return Materialize(bucket); });
   net_->set_on_extent([this](uint64_t extent) { NoteExtentAtLeast(extent); });
   net_->set_scan_threads(config_.options.scan_threads);
-  net_->set_scan_shard_min_records(config_.options.scan_shard_min_records);
   net_->set_admin_health([this] { return HealthJson(); });
 }
 

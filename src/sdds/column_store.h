@@ -12,14 +12,12 @@ namespace essdds::sdds {
 /// Read-only view of a bucket's columnar record storage, handed to scan
 /// evaluation: record i is key `keys[i]` with payload bytes
 /// arena[offsets[i], offsets[i] + lengths[i]). Records appear in ascending
-/// key order — the same order a std::map iteration yields — so hits
-/// collected over any contiguous index range concatenate into the exact
-/// reply the map-based evaluation produces.
+/// key order — the same order a std::map iteration yields — so a scan over
+/// the slice returns exactly the reply a walk of the bucket's map would.
 ///
 /// The view borrows the owning ColumnStore's buffers: it is valid only
-/// until the store's next mutation. Scan tasks hold one under the same
-/// contract that guards their record-map pointer (buckets resolve queued
-/// tasks before mutating).
+/// until the store's next mutation. Scan tasks hold one across a deferred
+/// batch; buckets resolve their queued tasks before mutating.
 struct ColumnSlice {
   const uint64_t* keys = nullptr;
   const uint64_t* offsets = nullptr;

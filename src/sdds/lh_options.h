@@ -120,15 +120,6 @@ struct LhOptions {
   /// inline on message receipt.
   size_t scan_threads = 0;
 
-  /// Intra-bucket parallelism threshold: a deferred scan task whose bucket
-  /// holds more than this many records is split into up to scan_threads
-  /// contiguous key-range shards evaluated concurrently, with shard hits
-  /// spliced back in ascending key order — results stay byte-identical to
-  /// the unsharded (and serial) evaluation. 0 shards every bucket with
-  /// more than one record; SIZE_MAX disables sharding. Only read when
-  /// scan_threads > 1.
-  size_t scan_shard_min_records = 1024;
-
   /// Which network simulation carries the file's messages (see
   /// NetworkMode). kSync keeps the seed behaviour bit-for-bit.
   NetworkMode network_mode = NetworkMode::kSync;
@@ -257,18 +248,16 @@ class ScanFilter {
     /// implementations should avoid per-record allocation.
     virtual bool Matches(uint64_t key, ByteSpan value) const = 0;
 
-    /// Batch evaluation over a columnar bucket slice: appends a
-    /// WireRecord{key, payload} to `out` for every hit among records
-    /// [begin, end), in ascending index (= ascending key) order. This is
-    /// the hot scan path when a bucket carries a column store — one virtual
-    /// call per shard instead of one per record, and the payloads stream
-    /// out of a contiguous arena. The default walks Matches() per record;
-    /// filters with a batch engine (bit-parallel matchers) override it.
-    /// Must produce exactly the hits the per-record Matches() would — the
-    /// serial/pooled/sharded byte-identity bar depends on it.
-    virtual void MatchColumns(const ColumnSlice& slice, size_t begin,
-                              size_t end, std::vector<WireRecord>* out) const {
-      for (size_t i = begin; i < end; ++i) {
+    /// Batch evaluation over a whole bucket's columnar slice — the one
+    /// scan path: appends a WireRecord{key, payload} to `out` for every
+    /// hit, in ascending index (= ascending key) order. One virtual call
+    /// per bucket instead of one per record, and the payloads stream out of
+    /// a contiguous arena. The default walks Matches() per record; filters
+    /// with a batch engine (bit-parallel matchers) override it. Must
+    /// produce exactly the hits the per-record Matches() would.
+    virtual void MatchColumns(const ColumnSlice& slice,
+                              std::vector<WireRecord>* out) const {
+      for (size_t i = 0; i < slice.count; ++i) {
         const ByteSpan payload = slice.payload(i);
         if (Matches(slice.keys[i], payload)) {
           out->push_back(

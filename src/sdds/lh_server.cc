@@ -277,9 +277,7 @@ void LhBucketServer::HandleScan(Message& msg, Network& net) {
 
   ScanTask task;
   task.bucket = bucket_number_;
-  task.records = &records_;
   task.columns = columns_.slice();
-  task.has_columns = true;
   task.filter = &runtime_->FilterById(msg.filter_id);
   task.arg = Bytes(msg.filter_arg.begin(), msg.filter_arg.end());
   task.live_generation = &mutation_generation_;
@@ -749,12 +747,12 @@ void LhBucketServer::RestoreRebuilt(RebuiltBucket state) {
 }
 
 void LhBucketServer::AboutToMutateRecords(Network& net) {
-  // A deferred scan task holds a pointer into records_ until the batch
-  // drains; evaluate any queued for this bucket now, against the
-  // pre-mutation content — exactly what the serial inline mode returned at
-  // kScan delivery, so deferred results stay byte-identical. The generation
-  // step arms the snapshot assert for any mutation path that skips this
-  // call.
+  // A deferred scan task borrows columns_ (the lockstep mirror of
+  // records_) until the batch drains; evaluate any queued for this bucket
+  // now, against the pre-mutation content — exactly what the serial inline
+  // mode returned at kScan delivery, so deferred results stay
+  // byte-identical. The generation step arms the snapshot assert for any
+  // mutation path that skips this call.
   if (net.deferred_scan_mode()) net.ResolveDeferredScans(bucket_number_);
   ++mutation_generation_;
 }

@@ -135,10 +135,10 @@ class LhBucketServer : public Site {
   /// driver thread, first mutation.
   void UpdateRecordGauge(Network& net);
 
-  /// Must run before every mutation of records_: deferred scan tasks hold a
-  /// pointer into the map, so any still queued are evaluated now — against
-  /// exactly the content the serial inline mode saw at kScan delivery —
-  /// and the mutation generation steps so a missed call trips the
+  /// Must run before every mutation of records_: deferred scan tasks borrow
+  /// the lockstep column store, so any still queued are evaluated now —
+  /// against exactly the content the serial inline mode saw at kScan
+  /// delivery — and the mutation generation steps so a missed call trips the
   /// snapshot assert instead of silently corrupting a scan.
   void AboutToMutateRecords(Network& net);
 

@@ -120,7 +120,7 @@ void Network::DrainDeferredScans() {
     task.has_shared_prepared = true;
   }
 
-  scan_pool().Run(batch, scan_shard_min_records_);
+  scan_pool().Run(batch);
   // Replies go out in ascending bucket order: the one deterministic order
   // independent of worker scheduling (and of the serial delivery order).
   std::stable_sort(batch.begin(), batch.end(),

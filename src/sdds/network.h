@@ -189,11 +189,6 @@ class Network {
   }
   size_t scan_threads() const { return scan_threads_; }
 
-  /// Bucket record count above which a scan task is split into contiguous
-  /// key-range shards evaluated concurrently (see LhOptions).
-  void set_scan_shard_min_records(size_t n) { scan_shard_min_records_ = n; }
-  size_t scan_shard_min_records() const { return scan_shard_min_records_; }
-
   /// True when bucket servers should defer scan evaluation to the batch.
   bool deferred_scan_mode() const { return scan_threads_ > 1; }
 
@@ -208,11 +203,11 @@ class Network {
   void DrainDeferredScans();
 
   /// Evaluates the queued tasks of `bucket` immediately, on the calling
-  /// thread. Bucket servers call this before mutating their record map: a
-  /// queued task points into that map, so it must capture its hits while
-  /// the content still matches what the serial inline mode saw at kScan
-  /// delivery. The reply is kept and sent by the drain as usual, so
-  /// traffic accounting is unchanged.
+  /// thread. Bucket servers call this before mutating their records: a
+  /// queued task borrows the bucket's column store, so it must capture its
+  /// hits while the content still matches what the serial inline mode saw
+  /// at kScan delivery. The reply is kept and sent by the drain as usual,
+  /// so traffic accounting is unchanged.
   void ResolveDeferredScans(uint64_t bucket);
 
   /// The network's persistent scan worker pool, created at scan_threads()
@@ -241,7 +236,6 @@ class Network {
   void NoteSendMetrics(const Message& msg, uint64_t bytes);
 
   size_t scan_threads_ = 0;
-  size_t scan_shard_min_records_ = 1024;
   std::vector<ScanTask> pending_scans_;
   std::unique_ptr<ScanWorkerPool> scan_pool_;
 

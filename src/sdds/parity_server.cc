@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "sdds/column_store.h"
 #include "sdds/scan_executor.h"
 #include "util/wire.h"
 
@@ -910,10 +911,13 @@ void ParityServer::ServeDegradedScan(Message& msg, Network& net, int member) {
   if (obs::kMetricsEnabled) {
     net.metrics().counter("recovery.degraded_scans").Increment();
   }
+  // The shadow keeps no column mirror; pack one for this scan so degraded
+  // evaluation runs the same whole-bucket slice path as a live bucket.
+  ColumnStore columns;
+  columns.RebuildFrom(sh.records);
   ScanTask task;
   task.bucket = bucket;
-  task.records = &sh.records;
-  task.has_columns = false;
+  task.columns = columns.slice();
   task.filter = &runtime_->FilterById(msg.filter_id);
   task.arg = Bytes(msg.filter_arg.begin(), msg.filter_arg.end());
   task.live_generation = &shadow_generation_;

@@ -1,9 +1,5 @@
 #include "sdds/scan_executor.h"
 
-#include <algorithm>
-#include <iterator>
-#include <utility>
-
 #include "util/logging.h"
 
 namespace essdds::sdds {
@@ -34,24 +30,31 @@ void ExecuteScanTask(ScanTask& task) {
   }
   task.evaluated = true;
   if (prepared == nullptr) return;  // malformed argument: empty reply
-  if (task.has_columns) {
-    prepared->MatchColumns(task.columns, 0, task.columns.count,
-                           &task.reply.records);
-    return;
-  }
-  for (const auto& [key, value] : *task.records) {
-    if (prepared->Matches(key, value)) {
-      task.reply.records.push_back(WireRecord{key, value});
-    }
-  }
+  prepared->MatchColumns(task.columns, &task.reply.records);
 }
 
 ScanWorkerPool::ScanWorkerPool(size_t threads, obs::MetricRegistry* metrics)
     : threads_(threads) {
   if (metrics != nullptr) {
     batch_tasks_hist_ = &metrics->histogram("scan.batch_tasks");
-    batch_shards_hist_ = &metrics->histogram("scan.batch_shards");
   }
+}
+
+void ScanWorkerPool::Run(std::vector<ScanTask>& tasks) {
+  size_t pending = 0;
+  for (const ScanTask& task : tasks) {
+    if (!task.evaluated) ++pending;
+  }
+  if (batch_tasks_hist_ != nullptr) batch_tasks_hist_->Record(pending);
+#if ESSDDS_THREADS
+  if (threads_ > 1 && pending > 1) {
+    RunBatch(tasks);
+    return;
+  }
+#endif
+  // Serial pool, a single pending task, or thread support compiled out:
+  // the plain loop on the caller, no worker ever starts.
+  for (ScanTask& task : tasks) ExecuteScanTask(task);
 }
 
 #if ESSDDS_THREADS
@@ -75,37 +78,16 @@ void ScanWorkerPool::StartWorkers() {
   }
 }
 
-void ScanWorkerPool::EvaluateShard(Shard& shard) {
-  if (shard.task->has_columns) {
-    // Columnar shard: one batch call over the index range; the filter walks
-    // the packed arena itself.
-    shard.prepared->MatchColumns(shard.task->columns, shard.col_begin,
-                                 shard.col_end, &shard.hits);
-    return;
-  }
-  // Hoist the members into locals: the opaque Matches() call and the
-  // push_back would otherwise force a reload of end/prepared from the
-  // Shard on every record, costing a measurable fraction of the record
-  // loop on branchy ~30ns predicates.
-  const auto end = shard.end;
-  const ScanFilter::Prepared* const prepared = shard.prepared;
-  std::vector<WireRecord>& hits = shard.hits;
-  for (auto it = shard.begin; it != end; ++it) {
-    if (prepared->Matches(it->first, it->second)) {
-      hits.push_back(WireRecord{it->first, it->second});
-    }
-  }
-}
-
-void ScanWorkerPool::DrainShards(BatchState& state) {
+void ScanWorkerPool::DrainTasks(BatchState& state) {
   // Lock-free claims. A ticket < total implies the batch is still in
   // flight (its caller cannot leave RunBatch before `done` reaches total),
-  // so the shard array behind it is alive; an exhausted ticket touches
-  // nothing but the batch-local atomics.
+  // so the task array behind it is alive; an exhausted ticket touches
+  // nothing but the batch-local atomics. Already-evaluated tasks (resolved
+  // ahead of a mutation) are no-ops in ExecuteScanTask.
   for (size_t i = state.next.fetch_add(1, std::memory_order_relaxed);
        i < state.total;
        i = state.next.fetch_add(1, std::memory_order_relaxed)) {
-    EvaluateShard(state.shards[i]);
+    ExecuteScanTask(state.tasks[i]);
     if (state.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
         state.total) {
       // Empty critical section: a waiter that saw `done` short is either
@@ -130,26 +112,26 @@ void ScanWorkerPool::WorkerLoop() {
     // it drains only this batch's tickets (see BatchState).
     std::shared_ptr<BatchState> state = batch_;
     lock.unlock();
-    DrainShards(*state);
+    DrainTasks(*state);
     lock.lock();
   }
 }
 
-void ScanWorkerPool::RunBatch(std::vector<Shard>& shards) {
+void ScanWorkerPool::RunBatch(std::vector<ScanTask>& tasks) {
   StartWorkers();
   auto state = std::make_shared<BatchState>();
-  state->shards = shards.data();
-  state->total = shards.size();
+  state->tasks = tasks.data();
+  state->total = tasks.size();
   {
     std::lock_guard<std::mutex> lock(mu_);
     batch_ = state;
     ++batch_seq_;
   }
   work_cv_.notify_all();
-  // The caller evaluates too: it claims shards alongside the workers
+  // The caller evaluates too: it claims tasks alongside the workers
   // rather than sleeping while they drain the queue — a small batch often
   // completes entirely on this thread before a worker even wakes.
-  DrainShards(*state);
+  DrainTasks(*state);
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [&] {
     return state->done.load(std::memory_order_acquire) == state->total;
@@ -157,159 +139,11 @@ void ScanWorkerPool::RunBatch(std::vector<Shard>& shards) {
   batch_.reset();
 }
 
-void ScanWorkerPool::Run(std::vector<ScanTask>& tasks,
-                         size_t shard_min_records) {
-  if (threads_ <= 1) {
-    size_t executed = 0;
-    for (ScanTask& task : tasks) {
-      if (!task.evaluated) ++executed;
-      ExecuteScanTask(task);
-    }
-    if (batch_tasks_hist_ != nullptr) {
-      batch_tasks_hist_->Record(executed);
-      // Serial mode: every task is its own (whole-bucket) shard.
-      batch_shards_hist_->Record(executed);
-    }
-    return;
-  }
-  // Shard planning runs on the caller: per-task Prepare (when the drain did
-  // not attach a shared instance), snapshot checks, and contiguous range
-  // carving. Treat a threshold of 0 as 1 — shard everything with more than
-  // one record.
-  const size_t min_records = std::max<size_t>(shard_min_records, 1);
-  std::vector<std::unique_ptr<ScanFilter::Prepared>> local_prepared;
-  std::vector<Shard> shards;
-  std::vector<ScanTask*> planned;
-  for (ScanTask& task : tasks) {
-    if (task.evaluated) continue;
-    CheckSnapshotLive(task);
-    const ScanFilter::Prepared* prepared = task.shared_prepared;
-    if (!task.has_shared_prepared) {
-      local_prepared.push_back(task.filter->Prepare(task.arg));
-      prepared = local_prepared.back().get();
-    }
-    if (prepared == nullptr) {  // malformed argument: empty reply
-      task.evaluated = true;
-      continue;
-    }
-    const size_t n =
-        task.has_columns ? task.columns.count : task.records->size();
-    size_t parts = 1;
-    if (n > min_records) {
-      parts = std::min(threads_, (n + min_records - 1) / min_records);
-    }
-    if (parts == 1) {
-      // Unsharded task (possibly an empty bucket): one whole-bucket shard,
-      // no key-span probing — begin()/rbegin() are not dereferenceable
-      // here.
-      Shard shard;
-      shard.task = &task;
-      if (task.has_columns) {
-        shard.col_end = n;
-      } else {
-        shard.begin = task.records->begin();
-        shard.end = task.records->end();
-      }
-      shard.prepared = prepared;
-      shards.push_back(std::move(shard));
-      planned.push_back(&task);
-      continue;
-    }
-    if (task.has_columns) {
-      // Columnar carve: equal record counts by index, no key-space math —
-      // exact balance for any key distribution (parts <= n, so every shard
-      // holds at least one record). Ranges are contiguous and ascending, so
-      // the splice below reassembles the reply in ascending key order.
-      for (size_t s = 0; s < parts; ++s) {
-        Shard shard;
-        shard.task = &task;
-        shard.col_begin = n * s / parts;
-        shard.col_end = n * (s + 1) / parts;
-        shard.prepared = prepared;
-        shards.push_back(std::move(shard));
-      }
-      planned.push_back(&task);
-      continue;
-    }
-    // Carve contiguous key ranges (parts > 1 implies n >= 2, so first and
-    // last keys exist). Count-based carving (std::advance) would
-    // pointer-chase the whole map just to plan, doubling the memory traffic
-    // of the scan; instead the key space [first, last] is cut into `parts`
-    // equal intervals and each interior boundary found with lower_bound —
-    // O(parts log n). Under hashed keys (the default) the intervals hold
-    // near-equal record counts; clustered raw keys may imbalance the shards,
-    // which costs parallelism, never correctness: the ranges concatenate to
-    // the whole map in ascending key order regardless. Degenerate spans
-    // (tightly clustered keys, extremes at 0/UINT64_MAX) can land several
-    // boundaries on the same record — such empty ranges are dropped rather
-    // than scheduled, so every emitted shard holds at least one record and
-    // no record is ever covered twice.
-    const uint64_t lo = task.records->begin()->first;
-    const uint64_t hi = task.records->rbegin()->first;
-    const uint64_t span = hi - lo;
-    auto it = task.records->begin();
-    for (size_t s = 0; s < parts; ++s) {
-      Shard shard;
-      shard.task = &task;
-      shard.begin = it;
-      if (s + 1 == parts) {
-        shard.end = task.records->end();
-      } else {
-        const uint64_t boundary =
-            lo + static_cast<uint64_t>(
-                     static_cast<unsigned __int128>(span) * (s + 1) / parts);
-        it = task.records->lower_bound(boundary);
-        shard.end = it;
-      }
-      if (shard.begin == shard.end) continue;  // boundary collision: empty
-      shard.prepared = prepared;
-      shards.push_back(std::move(shard));
-    }
-    planned.push_back(&task);
-  }
-  if (batch_tasks_hist_ != nullptr) {
-    batch_tasks_hist_->Record(planned.size());
-    batch_shards_hist_->Record(shards.size());
-  }
-  if (!shards.empty()) {
-    if (shards.size() == 1) {
-      EvaluateShard(shards.front());
-    } else {
-      RunBatch(shards);
-    }
-    // Splice: shards were planned in task order with ascending key ranges,
-    // so a straight append reassembles each reply in ascending key order —
-    // byte-identical to the serial evaluation.
-    for (Shard& shard : shards) {
-      auto& out = shard.task->reply.records;
-      out.insert(out.end(), std::make_move_iterator(shard.hits.begin()),
-                 std::make_move_iterator(shard.hits.end()));
-    }
-  }
-  for (ScanTask* task : planned) task->evaluated = true;
-}
-
 #else  // !ESSDDS_THREADS
 
 ScanWorkerPool::~ScanWorkerPool() = default;
 
 size_t ScanWorkerPool::started_workers() const { return 0; }
-
-void ScanWorkerPool::Run(std::vector<ScanTask>& tasks,
-                         size_t shard_min_records) {
-  // Thread support compiled out: the pool is the serial path, regardless of
-  // its configured size or the shard threshold.
-  (void)shard_min_records;
-  size_t executed = 0;
-  for (ScanTask& task : tasks) {
-    if (!task.evaluated) ++executed;
-    ExecuteScanTask(task);
-  }
-  if (batch_tasks_hist_ != nullptr) {
-    batch_tasks_hist_->Record(executed);
-    batch_shards_hist_->Record(executed);
-  }
-}
 
 #endif  // ESSDDS_THREADS
 

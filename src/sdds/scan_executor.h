@@ -2,7 +2,6 @@
 #define ESSDDS_SDDS_SCAN_EXECUTOR_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -19,30 +18,23 @@
 
 namespace essdds::sdds {
 
-/// One deferred bucket-scan evaluation. In parallel scan mode a bucket
-/// server answers a kScan message by enqueueing this task instead of
-/// evaluating inline; the filter work then runs off the messaging path so
-/// a worker pool can evaluate buckets concurrently. The reply message is
-/// pre-filled with everything except the hit records.
+/// One deferred bucket-scan evaluation: one whole bucket, presented as a
+/// columnar slice. In parallel scan mode a bucket server answers a kScan
+/// message by enqueueing this task instead of evaluating inline; the filter
+/// work then runs off the messaging path so a worker pool can evaluate
+/// buckets concurrently. The reply message is pre-filled with everything
+/// except the hit records.
 ///
-/// `records` points at the bucket's live record map. The bucket guards the
-/// pointer: before any mutation of the map it asks the network to resolve
-/// its queued tasks (Network::ResolveDeferredScans), so a task is always
-/// evaluated against exactly the content the serial inline mode would have
-/// seen at kScan delivery. `live_generation`/`enqueue_generation` assert
-/// that contract: the bucket bumps its mutation generation on every map
-/// change, and evaluation aborts if the snapshot went stale anyway.
+/// `columns` borrows the bucket's ColumnStore buffers. The bucket guards
+/// the view: before any mutation of its records it asks the network to
+/// resolve its queued tasks (Network::ResolveDeferredScans), so a task is
+/// always evaluated against exactly the content the serial inline mode
+/// would have seen at kScan delivery. `live_generation`/`enqueue_generation`
+/// assert that contract: the bucket bumps its mutation generation on every
+/// record change, and evaluation aborts if the snapshot went stale anyway.
 struct ScanTask {
   uint64_t bucket = 0;
-  const std::map<uint64_t, Bytes>* records = nullptr;
-  /// Columnar view of the same records (bucket servers maintain a
-  /// ColumnStore beside the map). When `has_columns` is set, evaluation
-  /// runs the filter's batch MatchColumns path over the packed arena —
-  /// shards become contiguous index ranges instead of map-iterator ranges —
-  /// and `records` is untouched. The slice borrows the bucket's buffers
-  /// under the same pre-mutation-resolution contract as `records`.
   ColumnSlice columns;
-  bool has_columns = false;
   const ScanFilter* filter = nullptr;
   Bytes arg;      // owned copy of the scan argument (workers never touch
                   // the originating message)
@@ -68,24 +60,20 @@ struct ScanTask {
 
 /// Evaluates one task inline on the calling thread: prepares the filter
 /// from the task's argument (unless a shared Prepared is attached) and
-/// fills task.reply.records with the hits, in ascending key order (the
-/// bucket's map order — deterministic regardless of execution order).
-/// No-op when the task is already evaluated.
+/// fills task.reply.records with the hits of one MatchColumns call over the
+/// whole slice, in ascending key order (deterministic regardless of
+/// execution order). No-op when the task is already evaluated.
 void ExecuteScanTask(ScanTask& task);
 
 /// Long-lived fixed-size worker pool for scan evaluation. One instance is
-/// owned by each Network and reused across every scan batch, replacing the
-/// old spawn-threads-per-batch executor: workers block on a condition
-/// variable between batches, so a scan pays queue signalling instead of
-/// thread creation. Within a batch, shard claims are lock-free and the
-/// calling thread evaluates shards alongside the workers, so small batches
-/// complete without a single context switch.
-///
-/// Sharding: Run() splits any task whose bucket holds more than
-/// `shard_min_records` records into up to `thread_count()` contiguous
-/// key-range shards evaluated concurrently, then splices the shard hits
-/// back in ascending key order — so serial, pooled, and sharded execution
-/// produce byte-identical replies.
+/// owned by each Network and reused across every scan batch: workers block
+/// on a condition variable between batches, so a scan pays queue
+/// signalling instead of thread creation. The unit of work is one whole
+/// task (bucket) — scans parallelise across buckets, never inside one.
+/// Within a batch, task claims are lock-free and the calling thread
+/// evaluates tasks alongside the workers, so small batches complete
+/// without a single context switch. Each task fills only its own reply,
+/// so serial and pooled execution produce byte-identical replies.
 ///
 /// Lifecycle: construction is cheap and spawns nothing; workers start
 /// lazily on the first batch that can use them and are joined by the
@@ -99,11 +87,14 @@ void ExecuteScanTask(ScanTask& task);
 /// them.
 class ScanWorkerPool {
  public:
-  /// `metrics`, when given, receives the pool's batch-shape histograms
-  /// ("scan.batch_tasks", "scan.batch_shards" — how many buckets each drain
-  /// batched and how finely they sharded); must outlive the pool. The
-  /// instruments are resolved once here, on the driver thread, per the
-  /// registry's thread contract.
+  /// Largest pool size the command-line front ends accept; one worker per
+  /// core is the useful range, and anything near this is a typo.
+  static constexpr size_t kMaxThreads = 256;
+
+  /// `metrics`, when given, receives the pool's batch-shape histogram
+  /// ("scan.batch_tasks" — how many buckets each drain batched); must
+  /// outlive the pool. The instrument is resolved once here, on the driver
+  /// thread, per the registry's thread contract.
   explicit ScanWorkerPool(size_t threads,
                           obs::MetricRegistry* metrics = nullptr);
   ~ScanWorkerPool();
@@ -129,54 +120,39 @@ class ScanWorkerPool {
   size_t started_workers() const;
 
   /// Evaluates every not-yet-evaluated task and returns once all replies
-  /// are filled. Tasks run on the pool (sharded per the threshold) when the
-  /// pool is parallel, serially on the caller otherwise; results are
+  /// are filled. Tasks run on the pool when it is parallel and more than
+  /// one task is pending, serially on the caller otherwise; results are
   /// byte-identical either way.
-  void Run(std::vector<ScanTask>& tasks, size_t shard_min_records);
+  void Run(std::vector<ScanTask>& tasks);
 
  private:
 #if ESSDDS_THREADS
-  /// One contiguous slice of a task's records, with its own hit vector so
-  /// workers never contend on the reply. Columnar tasks carve index ranges
-  /// [col_begin, col_end) into the packed arena; map-backed tasks carve
-  /// key-range iterator pairs.
-  struct Shard {
-    ScanTask* task = nullptr;
-    std::map<uint64_t, Bytes>::const_iterator begin;
-    std::map<uint64_t, Bytes>::const_iterator end;
-    size_t col_begin = 0;
-    size_t col_end = 0;
-    const ScanFilter::Prepared* prepared = nullptr;
-    std::vector<WireRecord> hits;
-  };
-
   /// Per-batch claim state, heap-allocated and shared with every worker
   /// that wakes for the batch. Owning the claim tickets batch-locally (not
   /// as reusable pool members) makes stragglers harmless: a worker
   /// descheduled past its whole batch drains a state whose tickets are
-  /// already exhausted — it can never claim shards of a later batch, and
-  /// the shared_ptr keeps the state alive however late it runs. The shard
-  /// array itself lives in Run()'s frame; a participant dereferences it
-  /// only for a ticket < total, which implies the batch (and so the frame)
-  /// is still in flight.
+  /// already exhausted — it can never claim tasks of a later batch, and
+  /// the shared_ptr keeps the state alive however late it runs. The task
+  /// array itself lives in the caller's vector; a participant dereferences
+  /// it only for a ticket < total, which implies the batch (and so the
+  /// vector) is still in flight.
   struct BatchState {
-    Shard* shards = nullptr;
+    ScanTask* tasks = nullptr;
     size_t total = 0;
-    std::atomic<size_t> next{0};  // shard claim ticket
-    std::atomic<size_t> done{0};  // completed-shard count
+    std::atomic<size_t> next{0};  // task claim ticket
+    std::atomic<size_t> done{0};  // completed-task count
   };
 
-  static void EvaluateShard(Shard& shard);
   void StartWorkers();
   void WorkerLoop();
-  void RunBatch(std::vector<Shard>& shards);
+  void RunBatch(std::vector<ScanTask>& tasks);
 
-  /// Claims and evaluates shards until the batch's tickets run out; run by
+  /// Claims and evaluates tasks until the batch's tickets run out; run by
   /// the workers AND by the batch caller (the caller evaluates alongside
   /// the pool instead of sleeping). Claims are lock-free — the mutex guards
-  /// only batch publication and completion signalling, so the per-shard
+  /// only batch publication and completion signalling, so the per-task
   /// path never sleeps on contention.
-  void DrainShards(BatchState& state);
+  void DrainTasks(BatchState& state);
 
   std::mutex mu_;
   std::condition_variable work_cv_;  // workers sleep here between batches
@@ -190,10 +166,9 @@ class ScanWorkerPool {
   bool shutdown_ = false;
 #endif
   const size_t threads_;
-  // Batch-shape histograms (null when no registry was attached). Recorded
+  // Batch-shape histogram (null when no registry was attached). Recorded
   // by Run() on the driver thread.
   obs::Histogram* batch_tasks_hist_ = nullptr;
-  obs::Histogram* batch_shards_hist_ = nullptr;
 };
 
 }  // namespace essdds::sdds

@@ -49,6 +49,25 @@ Result<Bytes> HexDecode(std::string_view hex) {
   return out;
 }
 
+Result<uint64_t> ParseDecimal(std::string_view text, uint64_t max) {
+  if (text.empty()) return Status::InvalidArgument("empty number");
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') {
+      return Status::InvalidArgument(std::string(text) +
+                                     " is not a plain decimal count");
+    }
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (digit > max || value > (max - digit) / 10) {
+      return Status::InvalidArgument(std::string(text) +
+                                     " exceeds the limit " +
+                                     std::to_string(max));
+    }
+    value = value * 10 + digit;
+  }
+  return value;
+}
+
 void StoreBigEndian32(uint32_t v, uint8_t* out) {
   out[0] = static_cast<uint8_t>(v >> 24);
   out[1] = static_cast<uint8_t>(v >> 16);

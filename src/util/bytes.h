@@ -28,6 +28,12 @@ std::string HexEncode(ByteSpan b);
 /// Parses lowercase/uppercase hex; fails on odd length or non-hex chars.
 Result<Bytes> HexDecode(std::string_view hex);
 
+/// Parses a plain decimal count in [0, max] — the command-line parser for
+/// sizes and thread counts. Fails on empty input, any non-digit (so a sign
+/// or a trailing unit is rejected rather than wrapped or ignored), and on
+/// values above `max`, overflow included.
+Result<uint64_t> ParseDecimal(std::string_view text, uint64_t max);
+
 /// Big-endian fixed-width integer load/store (crypto code is specified
 /// big-endian; SDDS keys use these for order-preserving byte layout).
 void StoreBigEndian32(uint32_t v, uint8_t* out);

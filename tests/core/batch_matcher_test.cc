@@ -1,12 +1,12 @@
-// BatchMatcher battery: the bit-parallel matcher must agree with the
-// scalar CompiledQuery KMP and with a naive O(n*m) reference on arbitrary
-// random queries and streams — including byte-reduced alphabet collisions
-// (values equal in their low byte but different above it, which fire the
-// automaton and must be killed by verification), multi-group packing,
-// KMP-fallback patterns longer than a machine word, empty patterns,
-// out-of-range families/sites, and the zero-dispersal-site clamp shared
-// with CompiledQuery. Also pins the record-boundary property: a pattern
-// straddling two records matches neither.
+// BatchMatcher battery: the bit-parallel matcher must agree with a naive
+// O(n*m) reference (the oracle) on arbitrary random queries and streams —
+// including byte-reduced alphabet collisions (values equal in their low
+// byte but different above it, which fire the automaton and must be killed
+// by verification), multi-group packing, KMP-fallback patterns longer than
+// a machine word, empty patterns, out-of-range families/sites, per-site
+// piece streams, per-family series, and the zero-dispersal-site clamp.
+// Also pins the record-boundary property: a pattern straddling two records
+// matches neither.
 
 #include "core/batch_matcher.h"
 
@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/compiled_query.h"
 #include "core/pipeline.h"
 #include "util/random.h"
 
@@ -131,12 +130,11 @@ std::vector<uint64_t> StreamForQuery(Rng& rng, const SearchQuery& q,
   return stream;
 }
 
-TEST(BatchMatcherTest, AgreesWithCompiledQueryAndNaiveOnRandomInputs) {
+TEST(BatchMatcherTest, AgreesWithNaiveOnRandomInputs) {
   Rng rng(41);
   for (int trial = 0; trial < 300; ++trial) {
     const SearchQuery query = RandomQuery(rng);
     const BatchMatcher batch(&query);
-    const CompiledQuery compiled{SearchQuery(query)};  // scalar KMP twin
     // Sweep coordinates past the valid range: out-of-range cells must
     // answer "no match", never crash.
     for (uint32_t family = 0; family < 4; ++family) {
@@ -147,21 +145,12 @@ TEST(BatchMatcherTest, AgreesWithCompiledQueryAndNaiveOnRandomInputs) {
             NaiveOccurrences(query, family, site, stream);
         EXPECT_EQ(batch.Matches(family, site, stream), !expected.empty())
             << "trial " << trial << " family " << family << " site " << site;
-        EXPECT_EQ(compiled.Matches(family, site, stream), !expected.empty())
-            << "trial " << trial << " family " << family << " site " << site;
         OccurrenceSet batch_occ;
         batch.ForEachOccurrence(family, site, stream,
                                 [&](uint32_t alignment, size_t c) {
                                   batch_occ.insert({alignment, c});
                                 });
         EXPECT_EQ(batch_occ, expected)
-            << "trial " << trial << " family " << family << " site " << site;
-        OccurrenceSet compiled_occ;
-        compiled.ForEachOccurrence(family, site, stream,
-                                   [&](uint32_t alignment, size_t c) {
-                                     compiled_occ.insert({alignment, c});
-                                   });
-        EXPECT_EQ(compiled_occ, expected)
             << "trial " << trial << " family " << family << " site " << site;
       }
     }
@@ -214,11 +203,11 @@ TEST(BatchMatcherTest, PatternStraddlingRecordBoundaryMatchesNeither) {
   EXPECT_EQ(occurrences, 0);  // ...but belongs to no single record
 }
 
-TEST(BatchMatcherTest, ZeroSiteQueryUsesChunksLikeCompiledQuery) {
+TEST(BatchMatcherTest, ZeroSiteQueryUsesUndispersedChunks) {
   // dispersal_sites == 0 cannot arrive off the wire (Deserialize rejects
-  // it) but a hand-built query can carry it; the shared clamp routes both
-  // matchers to the undispersed `chunks` stream — formerly CompiledQuery
-  // indexed the empty `pieces` here.
+  // it) but a hand-built query can carry it; the clamp in
+  // SearchQuery::effective_sites() routes the matcher to the undispersed
+  // `chunks` stream instead of indexing the empty `pieces`.
   SearchQuery q;
   q.dispersal_sites = 0;
   QuerySeries s;
@@ -227,16 +216,13 @@ TEST(BatchMatcherTest, ZeroSiteQueryUsesChunksLikeCompiledQuery) {
   q.series.push_back(s);
   ASSERT_EQ(q.effective_sites(), 1u);
   const BatchMatcher batch(&q);
-  const CompiledQuery compiled{SearchQuery(q)};
   const std::vector<uint64_t> hit{1, 9, 8, 7, 2};
   const std::vector<uint64_t> miss{9, 8, 6};
   EXPECT_TRUE(batch.Matches(0, 0, hit));
-  EXPECT_TRUE(compiled.Matches(0, 0, hit));
   EXPECT_FALSE(batch.Matches(0, 0, miss));
-  EXPECT_FALSE(compiled.Matches(0, 0, miss));
+  EXPECT_EQ(NaiveOccurrences(q, 0, 0, hit), (OccurrenceSet{{2, 1}}));
   // Site 1 and above stay out of range under the clamp.
   EXPECT_FALSE(batch.Matches(0, 1, hit));
-  EXPECT_FALSE(compiled.Matches(0, 1, hit));
 }
 
 TEST(BatchMatcherTest, ZeroSiteWireQueryIsRejected) {
@@ -276,7 +262,6 @@ TEST(BatchMatcherTest, ManySeriesPackAcrossMultipleGroups) {
     q.series.push_back(s);
   }
   const BatchMatcher batch(&q);
-  const CompiledQuery compiled{SearchQuery(q)};
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<uint64_t> stream = RandomStream(rng, 60);
     const size_t pick = rng.Uniform(q.series.size());
@@ -284,17 +269,77 @@ TEST(BatchMatcherTest, ManySeriesPackAcrossMultipleGroups) {
     std::copy(q.series[pick].chunks.begin(), q.series[pick].chunks.end(),
               stream.begin() + at);
     EXPECT_TRUE(batch.Matches(0, 0, stream)) << "trial " << trial;
-    OccurrenceSet batch_occ, compiled_occ;
+    OccurrenceSet batch_occ;
     batch.ForEachOccurrence(0, 0, stream, [&](uint32_t a, size_t c) {
       batch_occ.insert({a, c});
     });
-    compiled.ForEachOccurrence(0, 0, stream, [&](uint32_t a, size_t c) {
-      compiled_occ.insert({a, c});
-    });
-    EXPECT_EQ(batch_occ, compiled_occ) << "trial " << trial;
+    EXPECT_EQ(batch_occ, NaiveOccurrences(q, 0, 0, stream))
+        << "trial " << trial;
     EXPECT_TRUE(batch_occ.count({static_cast<uint32_t>(pick), at}) > 0)
         << "trial " << trial;
   }
+}
+
+TEST(BatchMatcherTest, DispersedQueryMatchesPerSite) {
+  // k = 3: each series carries one piece stream per dispersal site, and a
+  // site only ever sees (and must only ever match) its own stream.
+  SearchQuery q;
+  q.symbols_per_chunk = 4;
+  q.chunking_stride = 2;
+  q.dispersal_sites = 3;
+  q.query_symbols = 8;
+  QuerySeries s;
+  s.alignment = 1;
+  s.pieces = {{1, 2}, {3, 4}, {5, 6}};
+  q.series.push_back(s);
+  const BatchMatcher batch(&q);
+
+  EXPECT_TRUE(batch.Matches(0, 0, std::vector<uint64_t>{9, 1, 2, 9}));
+  EXPECT_FALSE(batch.Matches(0, 0, std::vector<uint64_t>{9, 3, 4, 9}));
+  EXPECT_TRUE(batch.Matches(0, 1, std::vector<uint64_t>{3, 4}));
+  EXPECT_TRUE(batch.Matches(0, 2, std::vector<uint64_t>{5, 6}));
+  // A site index the query has no piece stream for cannot match.
+  EXPECT_FALSE(batch.Matches(0, 3, std::vector<uint64_t>{1, 2}));
+  EXPECT_FALSE(batch.Matches(0, 1000, std::vector<uint64_t>{1, 2}));
+}
+
+TEST(BatchMatcherTest, PerFamilyQueryIsolatesFamilies) {
+  SearchQuery q;
+  q.symbols_per_chunk = 4;
+  q.chunking_stride = 1;
+  q.dispersal_sites = 1;
+  q.query_symbols = 8;
+  q.per_family = true;
+  QuerySeries f0, f1;
+  f0.alignment = 0;
+  f0.chunks = {10, 11};
+  f1.alignment = 0;
+  f1.chunks = {20, 21};
+  q.family_series = {{f0}, {f1}};
+  const BatchMatcher batch(&q);
+
+  const std::vector<uint64_t> stream0 = {10, 11};
+  const std::vector<uint64_t> stream1 = {20, 21};
+  EXPECT_TRUE(batch.Matches(0, 0, stream0));
+  EXPECT_FALSE(batch.Matches(0, 0, stream1));
+  EXPECT_TRUE(batch.Matches(1, 0, stream1));
+  EXPECT_FALSE(batch.Matches(1, 0, stream0));
+  // A family beyond the query's series lists cannot match.
+  EXPECT_FALSE(batch.Matches(2, 0, stream0));
+  EXPECT_FALSE(batch.Matches(1000, 0, stream0));
+}
+
+TEST(BatchMatcherTest, EmptySeriesNeverMatch) {
+  SearchQuery q;
+  q.dispersal_sites = 1;
+  q.series.push_back(QuerySeries{});  // alignment 0, no chunks
+  const BatchMatcher batch(&q);
+  EXPECT_FALSE(batch.Matches(0, 0, std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_FALSE(batch.Matches(0, 0, std::vector<uint64_t>{}));
+  int occurrences = 0;
+  batch.ForEachOccurrence(0, 0, std::vector<uint64_t>{1, 2, 3},
+                          [&](uint32_t, size_t) { ++occurrences; });
+  EXPECT_EQ(occurrences, 0);
 }
 
 }  // namespace

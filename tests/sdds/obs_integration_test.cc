@@ -86,26 +86,30 @@ TEST(ObsIntegrationTest, PerBucketRecordGaugesTrackContents) {
 
 TEST(ObsIntegrationTest, ScanBatchHistogramsRecordInDeferredMode) {
   if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
-  LhOptions o;
-  o.bucket_capacity = 8;
-  o.scan_threads = 4;
-  o.scan_shard_min_records = 0;  // shard every bucket with > 1 record
-  LhSystem sys(o);
-  const uint64_t filter = sys.InstallFilter(
-      [](uint64_t, ByteSpan, ByteSpan) { return true; });
-  LhClient* c = sys.NewClient();
-  for (uint64_t k = 0; k < 40; ++k) c->Insert(k, ValueFor(k));
-  const LhClient::ScanResult scan = c->Scan(filter, {});
-  EXPECT_EQ(scan.hits.size(), 40u);
+  for (const size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("scan_threads " + std::to_string(threads));
+    LhOptions o;
+    o.bucket_capacity = 8;
+    o.scan_threads = threads;
+    LhSystem sys(o);
+    const uint64_t filter = sys.InstallFilter(
+        [](uint64_t, ByteSpan, ByteSpan) { return true; });
+    LhClient* c = sys.NewClient();
+    for (uint64_t k = 0; k < 40; ++k) c->Insert(k, ValueFor(k));
+    const LhClient::ScanResult scan = c->Scan(filter, {});
+    EXPECT_EQ(scan.hits.size(), 40u);
 
-  obs::MetricRegistry& m = sys.network().metrics();
-  ASSERT_GE(m.histogram("scan.batch_tasks").count(), 1u);
-  EXPECT_GE(m.histogram("scan.batch_tasks").max(),
-            static_cast<uint64_t>(scan.buckets_answered));
-  ASSERT_GE(m.histogram("scan.batch_shards").count(), 1u);
-  EXPECT_GE(m.histogram("scan.batch_shards").max(),
-            m.histogram("scan.batch_tasks").max())
-      << "sharding never produces fewer execution units than tasks";
+    const obs::Histogram& tasks =
+        sys.network().metrics().histogram("scan.batch_tasks");
+    if (threads <= 1) {
+      // Inline mode evaluates at kScan delivery: no batch is ever drained.
+      EXPECT_EQ(tasks.count(), 0u);
+      continue;
+    }
+    // One drained batch holding one whole-bucket task per answering bucket.
+    ASSERT_EQ(tasks.count(), 1u);
+    EXPECT_EQ(tasks.max(), static_cast<uint64_t>(scan.buckets_answered));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
-// Shard-planner battery: the interval carve must survive degenerate key
-// distributions — keys pinned at 0 and UINT64_MAX, tight clusters, heavy
-// skew, consecutive keys, single records — without crashing, double-
-// covering, or dropping records; and the columnar carve (equal index
-// ranges over the packed arena) must splice back byte-identically to
-// serial evaluation on every one of them. Extremes land several interval
-// boundaries on the same record; the planner drops the resulting empty
-// ranges rather than scheduling them.
+// Whole-bucket task battery over degenerate key distributions — empty
+// buckets, keys pinned at 0 and UINT64_MAX, tight clusters, heavy skew,
+// consecutive keys, single records: the ColumnStore slice a task scans
+// must present every record exactly once, in ascending key order, and
+// serial and pooled evaluation must both reproduce a map-walk oracle byte
+// for byte on every one of them.
 
+#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
@@ -34,10 +33,9 @@ std::unique_ptr<ScanFilter> SelectiveFilter() {
   });
 }
 
-/// The distributions the key-space interval math is most likely to get
-/// wrong. Each returns the record map; the sweep runs every (distribution,
-/// thread count, shard threshold, columnar on/off) combination against the
-/// serial ground truth.
+/// Key distributions at the edges of the key space. Each returns the
+/// record map; the sweep runs every (distribution, thread count)
+/// combination against the map-walk oracle.
 std::vector<std::pair<std::string, std::map<uint64_t, Bytes>>>
 ExtremeDistributions() {
   constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
@@ -53,7 +51,6 @@ ExtremeDistributions() {
   add("single_zero", {0});
   add("single_max", {kMax});
   add("both_extremes", {0, kMax});
-  // Full-span with all interior boundaries collapsing onto one record.
   add("extremes_and_midpoint", {0, kMax / 2, kMax});
   {
     std::vector<uint64_t> keys;  // tight cluster far from the origin
@@ -66,8 +63,7 @@ ExtremeDistributions() {
     add("consecutive", std::move(keys));
   }
   {
-    // One outlier at kMax drags the span: every interior boundary lands
-    // past the cluster, so all but the first and last ranges are empty.
+    // A cluster at the origin plus one outlier at kMax.
     std::vector<uint64_t> keys;
     for (uint64_t k = 0; k < 50; ++k) keys.push_back(k);
     keys.push_back(kMax);
@@ -90,20 +86,27 @@ ExtremeDistributions() {
   return out;
 }
 
-ScanTask MakeTask(const std::map<uint64_t, Bytes>& records,
-                  const ColumnStore* columns, const ScanFilter& filter,
+ScanTask MakeTask(const ColumnStore& columns, const ScanFilter& filter,
                   Bytes arg) {
   ScanTask task;
   task.bucket = 0;
-  task.records = &records;
-  if (columns != nullptr) {
-    task.columns = columns->slice();
-    task.has_columns = true;
-  }
+  task.columns = columns.slice();
   task.filter = &filter;
   task.arg = std::move(arg);
   task.reply.type = MsgType::kScanReply;
   return task;
+}
+
+/// The ground truth, independent of the columnar path: the prepared
+/// filter's per-record predicate over the map, in key order.
+std::vector<WireRecord> OracleHits(const std::map<uint64_t, Bytes>& records,
+                                   const ScanFilter& filter, const Bytes& arg) {
+  const std::unique_ptr<ScanFilter::Prepared> prepared = filter.Prepare(arg);
+  std::vector<WireRecord> hits;
+  for (const auto& [key, value] : records) {
+    if (prepared->Matches(key, value)) hits.push_back(WireRecord{key, value});
+  }
+  return hits;
 }
 
 void ExpectSameHits(const std::vector<WireRecord>& actual,
@@ -120,58 +123,53 @@ TEST(ScanPlannerTest, ExtremeKeyDistributionsMatchSerial) {
   const auto distributions = ExtremeDistributions();
   const std::unique_ptr<ScanFilter> filter = SelectiveFilter();
   const Bytes arg = {uint8_t{1}};
-  for (const auto& [name, records] : distributions) {
-    ColumnStore columns;
-    columns.RebuildFrom(records);
-    // Serial ground truth (map walk, threads = 1 pool).
-    std::vector<WireRecord> expected;
-    {
-      ScanTask task = MakeTask(records, nullptr, *filter, arg);
-      ExecuteScanTask(task);
-      expected = std::move(task.reply.records);
+  // One column store per distribution, built in place (not movable).
+  std::deque<ColumnStore> stores(distributions.size());
+  std::vector<std::vector<WireRecord>> expected;
+  for (size_t d = 0; d < distributions.size(); ++d) {
+    const auto& [name, records] = distributions[d];
+    stores[d].RebuildFrom(records);
+    expected.push_back(OracleHits(records, *filter, arg));
+    ScanTask task = MakeTask(stores[d], *filter, arg);
+    ExecuteScanTask(task);
+    ExpectSameHits(task.reply.records, expected[d], name + " serial");
+  }
+  // Pooled: every distribution in one batch, so workers claim buckets of
+  // wildly different sizes (empty included) concurrently.
+  for (const size_t threads : {2u, 4u, 8u, 16u}) {
+    ScanWorkerPool pool(threads);
+    std::vector<ScanTask> tasks;
+    for (const ColumnStore& columns : stores) {
+      tasks.push_back(MakeTask(columns, *filter, arg));
     }
-    for (const size_t threads : {2u, 4u, 8u, 16u}) {
-      for (const size_t shard_min : {0u, 1u, 2u, 7u, 1000u}) {
-        ScanWorkerPool pool(threads);
-        const std::string label = name + " threads=" +
-                                  std::to_string(threads) + " shard_min=" +
-                                  std::to_string(shard_min);
-        {
-          std::vector<ScanTask> tasks;
-          tasks.push_back(MakeTask(records, nullptr, *filter, arg));
-          pool.Run(tasks, shard_min);
-          ExpectSameHits(tasks[0].reply.records, expected, label + " map");
-        }
-        {
-          std::vector<ScanTask> tasks;
-          tasks.push_back(MakeTask(records, &columns, *filter, arg));
-          pool.Run(tasks, shard_min);
-          ExpectSameHits(tasks[0].reply.records, expected,
-                         label + " columnar");
-        }
-      }
+    pool.Run(tasks);
+    for (size_t d = 0; d < tasks.size(); ++d) {
+      ExpectSameHits(tasks[d].reply.records, expected[d],
+                     distributions[d].first + " threads=" +
+                         std::to_string(threads));
     }
   }
 }
 
 TEST(ScanPlannerTest, MatchAllKeepsEveryRecordExactlyOnce) {
   // With a pass-everything filter the reply must be the whole map, in key
-  // order, regardless of how boundary collisions carved the shards — a
-  // dropped or double-covered range shows up immediately here.
+  // order — a dropped, duplicated or reordered record in the column slice
+  // shows up immediately here.
   const auto distributions = ExtremeDistributions();
   const std::unique_ptr<ScanFilter> filter = SelectiveFilter();
+  ScanWorkerPool pool(8);
   for (const auto& [name, records] : distributions) {
     ColumnStore columns;
     columns.RebuildFrom(records);
-    ScanWorkerPool pool(8);
-    for (const bool columnar : {false, true}) {
-      std::vector<ScanTask> tasks;
-      tasks.push_back(
-          MakeTask(records, columnar ? &columns : nullptr, *filter, {}));
-      pool.Run(tasks, 1);
-      const auto& hits = tasks[0].reply.records;
-      ASSERT_EQ(hits.size(), records.size())
-          << name << (columnar ? " columnar" : " map");
+    // Two tasks over the same bucket, so the pool evaluates them (a single
+    // pending task runs inline on the caller).
+    std::vector<ScanTask> tasks;
+    tasks.push_back(MakeTask(columns, *filter, {}));
+    tasks.push_back(MakeTask(columns, *filter, {}));
+    pool.Run(tasks);
+    for (const ScanTask& task : tasks) {
+      const auto& hits = task.reply.records;
+      ASSERT_EQ(hits.size(), records.size()) << name;
       size_t i = 0;
       for (const auto& [key, value] : records) {
         EXPECT_EQ(hits[i].key, key) << name << " index " << i;
@@ -179,35 +177,6 @@ TEST(ScanPlannerTest, MatchAllKeepsEveryRecordExactlyOnce) {
         ++i;
       }
     }
-  }
-}
-
-TEST(ScanPlannerTest, MixedBatchesOfMapAndColumnarTasks) {
-  // One drain can legitimately carry both kinds of task (unit tests and
-  // benches build bare map tasks; bucket servers attach columns): the
-  // planner must shard each by its own geometry.
-  const auto distributions = ExtremeDistributions();
-  const std::unique_ptr<ScanFilter> filter = SelectiveFilter();
-  const Bytes arg = {uint8_t{2}};
-  std::vector<ColumnStore> stores(distributions.size());
-  std::vector<std::vector<WireRecord>> expected;
-  for (size_t d = 0; d < distributions.size(); ++d) {
-    stores[d].RebuildFrom(distributions[d].second);
-    ScanTask task = MakeTask(distributions[d].second, nullptr, *filter, arg);
-    ExecuteScanTask(task);
-    expected.push_back(std::move(task.reply.records));
-  }
-  ScanWorkerPool pool(4);
-  std::vector<ScanTask> tasks;
-  for (size_t d = 0; d < distributions.size(); ++d) {
-    tasks.push_back(MakeTask(distributions[d].second,
-                             d % 2 == 0 ? &stores[d] : nullptr, *filter,
-                             arg));
-  }
-  pool.Run(tasks, 2);
-  for (size_t d = 0; d < tasks.size(); ++d) {
-    ExpectSameHits(tasks[d].reply.records, expected[d],
-                   distributions[d].first);
   }
 }
 

@@ -1,12 +1,13 @@
 // Persistent scan worker pool battery: lifecycle stress (repeated
 // start/run/destroy cycles, lazy start, never-started pools), determinism
-// (pool size 1 and every shard threshold bit-for-bit equal to serial
-// evaluation), oversubscription in both directions, empty batches, the
+// (every pool size bit-for-bit equal to serial evaluation and to a map-walk
+// oracle), oversubscription in both directions, empty batches, the
 // ESSDDS_THREADS=OFF serial-fallback guarantee, and the deferred-scan
 // snapshot contract under scripted pause/scan/split interleavings on the
-// event network.
+// event network. Every task is one whole bucket presented as a ColumnStore
+// slice, as bucket servers build them.
 
-#include <limits>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sdds/column_store.h"
 #include "sdds/event_network.h"
 #include "sdds/lh_system.h"
 #include "sdds/scan_executor.h"
@@ -23,8 +25,6 @@
 
 namespace essdds::sdds {
 namespace {
-
-constexpr size_t kNoShard = std::numeric_limits<size_t>::max();
 
 Bytes Val(uint64_t k) { return ToBytes("value-" + std::to_string(k)); }
 
@@ -38,6 +38,23 @@ std::map<uint64_t, Bytes> BuildRecords(size_t n, uint64_t seed) {
   return records;
 }
 
+/// One bucket's records twice over: the map the oracle walks, and the
+/// column store a bucket server keeps in lockstep and hands to scan tasks.
+struct Bucket {
+  std::map<uint64_t, Bytes> records;
+  ColumnStore columns;
+};
+
+/// A deque, because a ColumnStore is neither copyable nor movable: buckets
+/// are built in place and never relocate.
+using Buckets = std::deque<Bucket>;
+
+void AddBucket(Buckets& buckets, std::map<uint64_t, Bytes> records) {
+  Bucket& bucket = buckets.emplace_back();
+  bucket.records = std::move(records);
+  bucket.columns.RebuildFrom(bucket.records);
+}
+
 /// A filter selective enough that hit sets are a strict, non-empty subset.
 std::unique_ptr<ScanFilter> SelectiveFilter() {
   return MakeScanFilter([](uint64_t key, ByteSpan value, ByteSpan arg) {
@@ -46,11 +63,11 @@ std::unique_ptr<ScanFilter> SelectiveFilter() {
   });
 }
 
-ScanTask MakeTask(uint64_t bucket, const std::map<uint64_t, Bytes>& records,
+ScanTask MakeTask(uint64_t bucket, const ColumnStore& columns,
                   const ScanFilter& filter, Bytes arg) {
   ScanTask task;
   task.bucket = bucket;
-  task.records = &records;
+  task.columns = columns.slice();
   task.filter = &filter;
   task.arg = std::move(arg);
   task.reply.type = MsgType::kScanReply;
@@ -59,47 +76,64 @@ ScanTask MakeTask(uint64_t bucket, const std::map<uint64_t, Bytes>& records,
 }
 
 /// Fresh tasks over `buckets`, one per bucket, all with the same argument.
-std::vector<ScanTask> MakeBatch(
-    const std::vector<std::map<uint64_t, Bytes>>& buckets,
-    const ScanFilter& filter, const Bytes& arg) {
+std::vector<ScanTask> MakeBatch(const Buckets& buckets,
+                                const ScanFilter& filter, const Bytes& arg) {
   std::vector<ScanTask> tasks;
   tasks.reserve(buckets.size());
   for (size_t b = 0; b < buckets.size(); ++b) {
-    tasks.push_back(MakeTask(b, buckets[b], filter, arg));
+    tasks.push_back(MakeTask(b, buckets[b].columns, filter, arg));
   }
   return tasks;
 }
 
-/// The ground truth: serial inline evaluation of an identical batch.
-std::vector<std::vector<WireRecord>> SerialHits(
-    const std::vector<std::map<uint64_t, Bytes>>& buckets,
-    const ScanFilter& filter, const Bytes& arg) {
+/// The ground truth, independent of the columnar path: the prepared
+/// filter's per-record predicate over each bucket's map, in key order.
+std::vector<std::vector<WireRecord>> OracleHits(const Buckets& buckets,
+                                                const ScanFilter& filter,
+                                                const Bytes& arg) {
+  const std::unique_ptr<ScanFilter::Prepared> prepared = filter.Prepare(arg);
+  std::vector<std::vector<WireRecord>> hits(buckets.size());
+  for (size_t b = 0; b < buckets.size(); ++b) {
+    for (const auto& [key, value] : buckets[b].records) {
+      if (prepared->Matches(key, value)) {
+        hits[b].push_back(WireRecord{key, value});
+      }
+    }
+  }
+  return hits;
+}
+
+/// Serial inline evaluation of a fresh batch, asserted equal to the oracle.
+std::vector<std::vector<WireRecord>> SerialHits(const Buckets& buckets,
+                                                const ScanFilter& filter,
+                                                const Bytes& arg) {
   std::vector<ScanTask> tasks = MakeBatch(buckets, filter, arg);
   for (ScanTask& task : tasks) ExecuteScanTask(task);
   std::vector<std::vector<WireRecord>> hits;
   hits.reserve(tasks.size());
   for (ScanTask& task : tasks) hits.push_back(std::move(task.reply.records));
+  EXPECT_EQ(hits, OracleHits(buckets, filter, arg))
+      << "serial columnar scan diverged from the map-walk oracle";
   return hits;
 }
 
 void ExpectPoolMatchesSerial(
-    ScanWorkerPool& pool, size_t shard_min,
-    const std::vector<std::map<uint64_t, Bytes>>& buckets,
-    const ScanFilter& filter, const Bytes& arg,
-    const std::vector<std::vector<WireRecord>>& expected) {
+    ScanWorkerPool& pool, const Buckets& buckets, const ScanFilter& filter,
+    const Bytes& arg, const std::vector<std::vector<WireRecord>>& expected) {
   std::vector<ScanTask> tasks = MakeBatch(buckets, filter, arg);
-  pool.Run(tasks, shard_min);
+  pool.Run(tasks);
   ASSERT_EQ(tasks.size(), expected.size());
   for (size_t t = 0; t < tasks.size(); ++t) {
     EXPECT_TRUE(tasks[t].evaluated) << "task " << t;
     EXPECT_EQ(tasks[t].reply.records, expected[t])
-        << "task " << t << " diverged (shard_min=" << shard_min << ")";
+        << "task " << t << " diverged (threads=" << pool.thread_count()
+        << ")";
   }
 }
 
 TEST(ScanPoolTest, PoolSizeOneMatchesSerialBitForBit) {
-  std::vector<std::map<uint64_t, Bytes>> buckets;
-  for (uint64_t b = 0; b < 5; ++b) buckets.push_back(BuildRecords(120, b + 1));
+  Buckets buckets;
+  for (uint64_t b = 0; b < 5; ++b) AddBucket(buckets, BuildRecords(120, b + 1));
   auto filter = SelectiveFilter();
   const Bytes arg = ToBytes("a");
   const auto expected = SerialHits(buckets, *filter, arg);
@@ -108,37 +142,37 @@ TEST(ScanPoolTest, PoolSizeOneMatchesSerialBitForBit) {
   ASSERT_GT(total, 0u) << "filter selected nothing";
 
   ScanWorkerPool pool(1);
-  for (size_t shard_min : {size_t{0}, size_t{1}, size_t{16}, kNoShard}) {
-    ExpectPoolMatchesSerial(pool, shard_min, buckets, *filter, arg, expected);
+  for (int batch = 0; batch < 3; ++batch) {
+    ExpectPoolMatchesSerial(pool, buckets, *filter, arg, expected);
   }
   // A size-1 pool is the serial path: no worker ever starts.
   EXPECT_EQ(pool.started_workers(), 0u);
 }
 
-TEST(ScanPoolTest, ShardThresholdSweepMatchesSerialAtTaskLevel) {
-  // One large and one tiny bucket, so every threshold exercises both the
-  // sharded and the unsharded branch in the same batch.
-  std::vector<std::map<uint64_t, Bytes>> buckets;
-  buckets.push_back(BuildRecords(700, 11));
-  buckets.push_back(BuildRecords(3, 12));
-  buckets.push_back(BuildRecords(256, 13));
+TEST(ScanPoolTest, ThreadCountSweepMatchesSerialAtTaskLevel) {
+  // Uneven buckets — large, tiny, empty, mid-sized — so workers finish out
+  // of order and the pool must still hand back every reply intact.
+  Buckets buckets;
+  AddBucket(buckets, BuildRecords(700, 11));
+  AddBucket(buckets, BuildRecords(3, 12));
+  AddBucket(buckets, {});
+  AddBucket(buckets, BuildRecords(256, 13));
   auto filter = SelectiveFilter();
   for (const Bytes& arg : {Bytes{}, ToBytes("b")}) {
     const auto expected = SerialHits(buckets, *filter, arg);
-    for (size_t threads : {size_t{2}, size_t{4}, size_t{16}}) {
+    for (size_t threads :
+         {size_t{0}, size_t{1}, size_t{2}, size_t{4}, size_t{16}}) {
       ScanWorkerPool pool(threads);
-      for (size_t shard_min :
-           {size_t{0}, size_t{1}, size_t{2}, size_t{7}, size_t{64}, kNoShard}) {
-        ExpectPoolMatchesSerial(pool, shard_min, buckets, *filter, arg,
-                                expected);
+      for (int batch = 0; batch < 3; ++batch) {
+        ExpectPoolMatchesSerial(pool, buckets, *filter, arg, expected);
       }
     }
   }
 }
 
 TEST(ScanPoolTest, RepeatedStartRunDestroyCyclesAreClean) {
-  std::vector<std::map<uint64_t, Bytes>> buckets;
-  for (uint64_t b = 0; b < 4; ++b) buckets.push_back(BuildRecords(90, b + 40));
+  Buckets buckets;
+  for (uint64_t b = 0; b < 4; ++b) AddBucket(buckets, BuildRecords(90, b + 40));
   auto filter = SelectiveFilter();
   const Bytes arg = ToBytes("c");
   const auto expected = SerialHits(buckets, *filter, arg);
@@ -147,8 +181,7 @@ TEST(ScanPoolTest, RepeatedStartRunDestroyCyclesAreClean) {
     ScanWorkerPool pool(4);
     EXPECT_EQ(pool.started_workers(), 0u) << "pool must start lazily";
     for (int batch = 0; batch < 3; ++batch) {
-      ExpectPoolMatchesSerial(pool, /*shard_min=*/8, buckets, *filter, arg,
-                              expected);
+      ExpectPoolMatchesSerial(pool, buckets, *filter, arg, expected);
     }
     // Destructor joins the workers; the next cycle builds a fresh pool.
   }
@@ -164,36 +197,36 @@ TEST(ScanPoolTest, OversubscriptionInBothDirections) {
   const Bytes arg = ToBytes("d");
 
   // Threads >> tasks: 32 workers, 2 buckets.
-  std::vector<std::map<uint64_t, Bytes>> few;
-  few.push_back(BuildRecords(50, 7));
-  few.push_back(BuildRecords(8, 8));
+  Buckets few;
+  AddBucket(few, BuildRecords(50, 7));
+  AddBucket(few, BuildRecords(8, 8));
   const auto few_expected = SerialHits(few, *filter, arg);
   ScanWorkerPool wide(32);
-  ExpectPoolMatchesSerial(wide, /*shard_min=*/1, few, *filter, arg,
-                          few_expected);
+  ExpectPoolMatchesSerial(wide, few, *filter, arg, few_expected);
 
-  // Tasks >> threads: 2 workers, 48 buckets (plus sharding pressure).
-  std::vector<std::map<uint64_t, Bytes>> many;
-  for (uint64_t b = 0; b < 48; ++b) many.push_back(BuildRecords(30, 100 + b));
+  // Tasks >> threads: 2 workers, 48 buckets.
+  Buckets many;
+  for (uint64_t b = 0; b < 48; ++b) AddBucket(many, BuildRecords(30, 100 + b));
   const auto many_expected = SerialHits(many, *filter, arg);
   ScanWorkerPool narrow(2);
-  ExpectPoolMatchesSerial(narrow, /*shard_min=*/1, many, *filter, arg,
-                          many_expected);
+  ExpectPoolMatchesSerial(narrow, many, *filter, arg, many_expected);
 }
 
 TEST(ScanPoolTest, EmptyBatchesAndEmptyBucketsDoNotDeadlock) {
   ScanWorkerPool pool(4);
   std::vector<ScanTask> none;
-  pool.Run(none, 0);
-  pool.Run(none, kNoShard);
+  pool.Run(none);
+  pool.Run(none);
   EXPECT_EQ(pool.started_workers(), 0u) << "empty batch must not start workers";
 
-  // A task over an empty bucket map.
+  // Tasks over empty buckets, beside one populated bucket.
   auto filter = SelectiveFilter();
-  std::vector<std::map<uint64_t, Bytes>> buckets(3);
-  buckets[1] = BuildRecords(20, 5);
+  Buckets buckets;
+  AddBucket(buckets, {});
+  AddBucket(buckets, BuildRecords(20, 5));
+  AddBucket(buckets, {});
   const auto expected = SerialHits(buckets, *filter, {});
-  ExpectPoolMatchesSerial(pool, 0, buckets, *filter, {}, expected);
+  ExpectPoolMatchesSerial(pool, buckets, *filter, {}, expected);
 
   // System level: draining with nothing queued is a no-op, and scanning an
   // empty file answers one empty bucket.
@@ -207,15 +240,14 @@ TEST(ScanPoolTest, EmptyBatchesAndEmptyBucketsDoNotDeadlock) {
 }
 
 TEST(ScanPoolTest, ThreadSupportGateCompilesPoolToSerialPath) {
-  std::vector<std::map<uint64_t, Bytes>> buckets;
-  buckets.push_back(BuildRecords(64, 21));
-  buckets.push_back(BuildRecords(64, 22));
+  Buckets buckets;
+  AddBucket(buckets, BuildRecords(64, 21));
+  AddBucket(buckets, BuildRecords(64, 22));
   auto filter = SelectiveFilter();
   const auto expected = SerialHits(buckets, *filter, {});
 
   ScanWorkerPool pool(4);
-  ExpectPoolMatchesSerial(pool, /*shard_min=*/1, buckets, *filter, {},
-                          expected);
+  ExpectPoolMatchesSerial(pool, buckets, *filter, {}, expected);
 #if ESSDDS_THREADS
   EXPECT_TRUE(ScanWorkerPool::threads_compiled_in());
   EXPECT_EQ(pool.started_workers(), 4u)
@@ -232,10 +264,8 @@ TEST(ScanPoolTest, ThreadSupportGateCompilesPoolToSerialPath) {
 
 /// One LH* file plus a selective filter and a deterministic workload.
 struct Workload {
-  explicit Workload(size_t scan_threads, size_t shard_min = 1024)
-      : sys(LhOptions{.bucket_capacity = 8,
-                      .scan_threads = scan_threads,
-                      .scan_shard_min_records = shard_min}),
+  explicit Workload(size_t scan_threads)
+      : sys(LhOptions{.bucket_capacity = 8, .scan_threads = scan_threads}),
         client(sys.NewClient()) {
     filter_id =
         sys.InstallFilter([](uint64_t key, ByteSpan value, ByteSpan arg) {
@@ -258,7 +288,7 @@ struct Workload {
   uint64_t filter_id = 0;
 };
 
-TEST(ScanPoolTest, SystemShardThresholdSweepMatchesSerial) {
+TEST(ScanPoolTest, SystemThreadCountSweepMatchesSerial) {
   Workload serial(0);
   serial.Fill(1500, 77);
   serial.sys.network().ResetStats();
@@ -267,23 +297,22 @@ TEST(ScanPoolTest, SystemShardThresholdSweepMatchesSerial) {
   const NetworkStats expected_stats = serial.sys.network().stats();
   ASSERT_GT(expected.hits.size(), 0u);
 
-  for (size_t shard_min :
-       {size_t{1}, size_t{2}, size_t{7}, size_t{64}, kNoShard}) {
-    SCOPED_TRACE("shard_min " + std::to_string(shard_min));
-    Workload sharded(4, shard_min);
-    sharded.Fill(1500, 77);
-    sharded.sys.network().ResetStats();
-    const auto got = sharded.client->Scan(sharded.filter_id, arg);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{16}}) {
+    SCOPED_TRACE("scan_threads " + std::to_string(threads));
+    Workload pooled(threads);
+    pooled.Fill(1500, 77);
+    pooled.sys.network().ResetStats();
+    const auto got = pooled.client->Scan(pooled.filter_id, arg);
     EXPECT_EQ(got.hits, expected.hits);
     EXPECT_EQ(got.buckets_answered, expected.buckets_answered);
-    EXPECT_EQ(sharded.sys.network().stats(), expected_stats);
+    EXPECT_EQ(pooled.sys.network().stats(), expected_stats);
   }
 }
 
 TEST(ScanPoolTest, OnePoolServesManyScansAndManySystemsCycle) {
   // Pool reuse: one system, many scans — the pool starts once and serves
   // every batch.
-  Workload serial(0), pooled(4, /*shard_min=*/4);
+  Workload serial(0), pooled(4);
   serial.Fill(600, 9);
   pooled.Fill(600, 9);
   for (int i = 0; i < 12; ++i) {
@@ -297,7 +326,7 @@ TEST(ScanPoolTest, OnePoolServesManyScansAndManySystemsCycle) {
 #endif
   // System churn: each LhSystem owns its pool; create, scan, destroy.
   for (int cycle = 0; cycle < 6; ++cycle) {
-    Workload w(4, /*shard_min=*/2);
+    Workload w(4);
     w.Fill(200, 50 + static_cast<uint64_t>(cycle));
     const auto result = w.client->Scan(w.filter_id, {});
     EXPECT_EQ(result.hits.size(), 200u) << "cycle " << cycle;
@@ -309,20 +338,23 @@ TEST(ScanPoolTest, OnePoolServesManyScansAndManySystemsCycle) {
 TEST(ScanPoolDeathTest, StaleSnapshotAbortsInsteadOfReadingDanglingState) {
   // The backstop behind the resolve-before-mutation protocol: if a mutation
   // path ever misses its AboutToMutateRecords() call, evaluation must abort
-  // on the generation mismatch, not silently scan a mutated (or freed) map.
-  const auto records = BuildRecords(10, 99);
+  // on the generation mismatch, not silently scan a mutated (or freed)
+  // column store.
+  Buckets buckets;
+  AddBucket(buckets, BuildRecords(10, 99));
+  const ColumnStore& columns = buckets[0].columns;
   auto filter = SelectiveFilter();
-  ScanTask task = MakeTask(0, records, *filter, {});
+  ScanTask task = MakeTask(0, columns, *filter, {});
   uint64_t generation = 7;
   task.live_generation = &generation;
   task.enqueue_generation = 7;
   ExecuteScanTask(task);  // generations agree: fine
   EXPECT_TRUE(task.evaluated);
 
-  ScanTask stale = MakeTask(0, records, *filter, {});
+  ScanTask stale = MakeTask(0, columns, *filter, {});
   stale.live_generation = &generation;
   stale.enqueue_generation = 7;
-  generation = 8;  // the map "mutated" after enqueue
+  generation = 8;  // the bucket "mutated" after enqueue
   EXPECT_DEATH(ExecuteScanTask(stale), "mutated record map");
 }
 
@@ -343,7 +375,6 @@ TEST(ScanPoolTest, SplitArrivingWhileTaskQueuedKeepsPreSplitSnapshot) {
   opt.bucket_capacity = 8;
   opt.hash_keys = false;  // raw placement: the split moves exactly the odds
   opt.scan_threads = 4;
-  opt.scan_shard_min_records = 2;
   opt.network_mode = NetworkMode::kEvent;
   opt.event_net.seed = 13;
   LhSystem sys(opt);
@@ -408,7 +439,6 @@ TEST(ScanPoolTest, LateReplayedScanResolvesBeforeNextMutation) {
   LhOptions opt;
   opt.bucket_capacity = 64;
   opt.scan_threads = 4;
-  opt.scan_shard_min_records = 2;
   opt.network_mode = NetworkMode::kEvent;
   opt.event_net.seed = 29;
   LhSystem sys(opt);

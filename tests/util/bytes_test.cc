@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -38,6 +39,30 @@ TEST(BytesTest, StringRoundTrip) {
   Bytes b = ToBytes("hello");
   EXPECT_EQ(b.size(), 5u);
   EXPECT_EQ(ToString(b), "hello");
+}
+
+TEST(BytesTest, ParseDecimalAcceptsCountsUpToTheLimit) {
+  EXPECT_EQ(*ParseDecimal("0", 256), 0u);
+  EXPECT_EQ(*ParseDecimal("4", 256), 4u);
+  EXPECT_EQ(*ParseDecimal("256", 256), 256u);
+  EXPECT_EQ(*ParseDecimal("007", 256), 7u);
+  EXPECT_EQ(*ParseDecimal("18446744073709551615", UINT64_MAX), UINT64_MAX);
+}
+
+TEST(BytesTest, ParseDecimalRejectsSignsGarbageAndHugeValues) {
+  // strtoull/atoll would wrap "-1" to SIZE_MAX and read "4x" as 4; a
+  // thread count from the command line must fail instead.
+  for (const char* bad : {"", "-1", "+4", " 4", "4 ", "4x", "x4", "0x10",
+                          "1e3", "2.5", "-0"}) {
+    EXPECT_FALSE(ParseDecimal(bad, UINT64_MAX).ok()) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(ParseDecimal("257", 256).ok());
+  EXPECT_FALSE(ParseDecimal("100000", 256).ok());
+  EXPECT_FALSE(ParseDecimal("1", 0).ok());
+  EXPECT_TRUE(ParseDecimal("0", 0).ok());
+  // One past UINT64_MAX, and far past it: overflow, not wraparound.
+  EXPECT_FALSE(ParseDecimal("18446744073709551616", UINT64_MAX).ok());
+  EXPECT_FALSE(ParseDecimal("99999999999999999999999", UINT64_MAX).ok());
 }
 
 TEST(BytesTest, BigEndianRoundTrip32) {
