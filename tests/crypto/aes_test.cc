@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -22,6 +23,13 @@ struct AesVector {
   std::string plaintext;
   std::string ciphertext;
 };
+
+// Names each instance by key size and ciphertext. Without this, gtest prints
+// the raw bytes of the struct, string heap pointers included, and the test
+// names that CTest discovers change from one run to the next.
+void PrintTo(const AesVector& v, std::ostream* os) {
+  *os << "AES-" << v.key.size() * 4 << " ct " << v.ciphertext;
+}
 
 class AesKnownAnswerTest : public ::testing::TestWithParam<AesVector> {};
 
