@@ -141,7 +141,7 @@ double PercentileUs(std::vector<double>& sorted_us, double q) {
 /// Inserts `ops` fresh keys keeping a window of `depth` in flight; latency
 /// is submit-to-Await per op, throughput is the whole window-driven phase.
 DepthNumbers RunDepth(size_t depth, size_t ops) {
-  Cluster cluster("d" + std::to_string(depth));
+  Cluster cluster(std::string("d").append(std::to_string(depth)));
   auto client = cluster.NewClient();
 
   const Bytes value = ToBytes("socket bench payload: forty-two bytes long!");

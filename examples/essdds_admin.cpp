@@ -29,9 +29,12 @@
 #include <vector>
 
 #include "net/admin.h"
+#include "net/flag_limits.h"
 #include "util/json_writer.h"
 
 namespace {
+
+namespace flag_limits = essdds::net::flag_limits;
 
 int Usage(const char* argv0) {
   std::fprintf(
@@ -133,15 +136,23 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto flag = [&](essdds::net::FlagLimit limit) {
+      auto value = essdds::net::ParseFlag(next(), limit);
+      if (!value.ok()) {
+        std::fprintf(stderr, "bad %s: %s\n", arg.c_str(),
+                     value.status().ToString().c_str());
+        std::exit(2);
+      }
+      return *value;
+    };
     if (arg == "--cluster") {
       cluster_spec = next();
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--interval-ms") {
-      interval_ms = std::strtoull(next(), nullptr, 10);
-      if (interval_ms == 0) interval_ms = 1;
+      interval_ms = flag(flag_limits::kIntervalMs);
     } else if (arg == "--count") {
-      count = std::strtoull(next(), nullptr, 10);
+      count = flag(flag_limits::kCount);
     } else if (command.empty()) {
       command = arg;
     } else if (command == "trace" && trace_id == 0) {

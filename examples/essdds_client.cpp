@@ -15,10 +15,13 @@
 #include <cstdlib>
 #include <string>
 
+#include "net/flag_limits.h"
 #include "net/socket_client.h"
 #include "util/json_writer.h"
 
 namespace {
+
+namespace flag_limits = essdds::net::flag_limits;
 
 std::string ValueFor(uint64_t key) {
   // The needle digit varies per op (keys step by 1000), so a substring
@@ -69,25 +72,34 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto flag = [&](essdds::net::FlagLimit limit) {
+      auto value = essdds::net::ParseFlag(next(), limit);
+      if (!value.ok()) {
+        std::fprintf(stderr, "bad %s: %s\n", arg.c_str(),
+                     value.status().ToString().c_str());
+        std::exit(2);
+      }
+      return *value;
+    };
     if (arg == "--cluster") {
       cluster_spec = next();
     } else if (arg == "--client-id") {
-      client_id = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+      client_id = static_cast<uint32_t>(flag(flag_limits::kClientId));
     } else if (arg == "--ops") {
-      ops = std::strtoull(next(), nullptr, 10);
+      ops = flag(flag_limits::kOps);
     } else if (arg == "--depth") {
-      depth = static_cast<size_t>(std::strtoull(next(), nullptr, 10));
+      depth = static_cast<size_t>(flag(flag_limits::kDepth));
     } else if (arg == "--scan") {
       do_scan = true;
       scan_needle = next();
     } else if (arg == "--keep") {
       keep = true;
     } else if (arg == "--timeout-us") {
-      timeout_us = std::strtoull(next(), nullptr, 10);
+      timeout_us = flag(flag_limits::kTimeoutUs);
     } else if (arg == "--retries") {
-      retries = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+      retries = static_cast<uint32_t>(flag(flag_limits::kRetries));
     } else if (arg == "--slow-op-us") {
-      slow_op_us = std::strtoull(next(), nullptr, 10);
+      slow_op_us = flag(flag_limits::kSlowOpUs);
     } else if (arg == "--metrics") {
       metrics_path = next();
     } else {
@@ -106,7 +118,7 @@ int main(int argc, char** argv) {
   essdds::net::SocketClient::Options opts;
   opts.cluster = *cluster;
   opts.client_id = client_id;
-  opts.max_inflight = depth == 0 ? 1 : depth;
+  opts.max_inflight = depth;
   opts.lh.request_timeout_us = timeout_us;
   opts.lh.max_request_retries = retries;
   opts.lh.slow_op_us = slow_op_us;

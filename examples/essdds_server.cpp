@@ -19,12 +19,15 @@
 #include <string>
 
 #include "net/bucket_host.h"
+#include "net/flag_limits.h"
 #include "sdds/scan_executor.h"
 #include "util/bytes.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
 
 namespace {
+
+namespace flag_limits = essdds::net::flag_limits;
 
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
@@ -84,13 +87,21 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto flag = [&](essdds::net::FlagLimit limit) {
+      auto value = essdds::net::ParseFlag(next(), limit);
+      if (!value.ok()) {
+        std::fprintf(stderr, "bad %s: %s\n", arg.c_str(),
+                     value.status().ToString().c_str());
+        std::exit(2);
+      }
+      return *value;
+    };
     if (arg == "--cluster") {
       cluster_spec = next();
     } else if (arg == "--host" || arg == "--site") {
-      host_index = static_cast<size_t>(std::strtoull(next(), nullptr, 10));
+      host_index = static_cast<size_t>(flag(flag_limits::kHost));
     } else if (arg == "--capacity") {
-      lh.bucket_capacity =
-          static_cast<size_t>(std::strtoull(next(), nullptr, 10));
+      lh.bucket_capacity = static_cast<size_t>(flag(flag_limits::kCapacity));
     } else if (arg == "--scan-threads") {
       auto threads = essdds::ParseDecimal(
           next(), essdds::sdds::ScanWorkerPool::kMaxThreads);

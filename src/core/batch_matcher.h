@@ -20,8 +20,9 @@ namespace essdds::core {
 /// pattern, it packs every pattern of a (family, site) program into 64-bit
 /// automaton words — one pass over the stream advances all of them at once
 /// — which is what makes the columnar scan path (many packed records per
-/// call, one stream decode each) pay off. It serves both the site-side
-/// scan and the client-side position confirmation.
+/// call, one stream decode each) pay off. It runs at the sites: Matches
+/// picks the candidates of a scan, ForEachOccurrence yields the hit
+/// positions each candidate's reply carries.
 ///
 /// Construction: patterns whose length fits a machine word (<= 64 stream
 /// values) are concatenated into as few Shift-And groups as possible; a
@@ -38,8 +39,8 @@ namespace essdds::core {
 /// Semantics match the naive scan exactly (the property tests pit the two
 /// against each other): empty patterns never match, out-of-range families
 /// and sites never match, and ForEachOccurrence reports every occurrence of
-/// every series pattern (occurrence *order* is unspecified; the
-/// position-confirmation consumer intersects sets and never depends on it).
+/// every series pattern (occurrence *order* is unspecified; the site sorts
+/// the positions it derives from them).
 ///
 /// The matcher borrows the query: `query` must outlive it (patterns
 /// reference its chunk/piece buffers; nothing is copied).

@@ -1,12 +1,15 @@
 #include "core/encrypted_store.h"
 
 #include <algorithm>
-#include <map>
+#include <iterator>
 #include <memory>
 #include <set>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "core/batch_matcher.h"
+#include "core/hit_positions.h"
 
 namespace essdds::core {
 
@@ -26,10 +29,11 @@ int64_t ImpliedPosition(uint32_t family_offset, size_t chunk_index,
 
 /// The site-side matcher: runs at every index bucket during a scan. An
 /// index record is a candidate when any query series matches its stream;
-/// cross-site AND and cross-family combination happen at the client, which
-/// is the only party that can correlate sites. Each scan compiles the wire
-/// query once per bucket (Prepare) and matches every local record against
-/// the compiled form without further allocation.
+/// the site replies with the record's key and the sorted, distinct record
+/// positions its matches imply (EncodeHitPositions). Cross-site AND and
+/// cross-family combination happen at the client, which is the only party
+/// that can correlate sites. Each scan compiles the wire query once
+/// (Prepare) and matches every local record against the compiled form.
 class MatchScanFilter : public sdds::ScanFilter {
  public:
   explicit MatchScanFilter(const IndexPipeline* pipeline)
@@ -47,40 +51,42 @@ class MatchScanFilter : public sdds::ScanFilter {
     PreparedMatch(const IndexPipeline* pipeline, SearchQuery query)
         : pipeline_(pipeline), query_(std::move(query)), matcher_(&query_) {}
 
-    bool Matches(uint64_t key, ByteSpan value) const override {
-      uint64_t rid;
-      uint32_t family, site;
-      ParseIndexKey(key, pipeline_->params(), &rid, &family, &site);
-      // Decode buffer reused across records. One Prepared is shared by all
-      // buckets of a scan and driven concurrently in thread-pool mode, so
-      // the scratch is per worker thread, not per instance.
-      static thread_local std::vector<uint64_t> scratch;
-      if (!pipeline_->DeserializeStreamInto(value, &scratch).ok()) {
-        return false;
-      }
-      return matcher_.Matches(family, site, scratch);
-    }
-
-    /// Columnar batch path: streams the bucket's packed arena sequentially
-    /// and runs the bit-parallel matcher per decoded stream. Hit records
-    /// are emitted in slice order — ascending key — so the reply is
-    /// byte-identical to the per-record Matches walk.
+    /// Streams the bucket's packed arena sequentially and runs the
+    /// bit-parallel matcher per decoded stream; only the records it accepts
+    /// pay for the occurrence walk. Hits are emitted in slice order
+    /// (ascending key). One Prepared is shared by all buckets of a scan and
+    /// driven concurrently in thread-pool mode, so the scratch buffers are
+    /// per worker thread, not per instance.
     void MatchColumns(const sdds::ColumnSlice& slice,
                       std::vector<sdds::WireRecord>* out) const override {
-      static thread_local std::vector<uint64_t> scratch;
+      static thread_local std::vector<uint64_t> stream;
+      static thread_local std::vector<int64_t> positions;
+      const SchemeParams& p = pipeline_->params();
+      const uint32_t symbols = static_cast<uint32_t>(p.symbols_per_chunk());
       for (size_t i = 0; i < slice.count; ++i) {
         const uint64_t key = slice.keys[i];
         uint64_t rid;
         uint32_t family, site;
-        ParseIndexKey(key, pipeline_->params(), &rid, &family, &site);
-        const ByteSpan payload = slice.payload(i);
-        if (!pipeline_->DeserializeStreamInto(payload, &scratch).ok()) {
-          continue;  // undecodable record: no match, same as Matches()
+        ParseIndexKey(key, p, &rid, &family, &site);
+        if (!pipeline_->DeserializeStreamInto(slice.payload(i), &stream)
+                 .ok()) {
+          continue;  // undecodable record: no match
         }
-        if (matcher_.Matches(family, site, scratch)) {
-          out->push_back(
-              sdds::WireRecord{key, Bytes(payload.begin(), payload.end())});
-        }
+        if (!matcher_.Matches(family, site, stream)) continue;
+        const uint32_t family_offset =
+            family * static_cast<uint32_t>(p.chunking_stride);
+        positions.clear();
+        matcher_.ForEachOccurrence(
+            family, site, stream, [&](uint32_t alignment, size_t c) {
+              positions.push_back(
+                  ImpliedPosition(family_offset, c, symbols, alignment));
+            });
+        std::sort(positions.begin(), positions.end());
+        positions.erase(std::unique(positions.begin(), positions.end()),
+                        positions.end());
+        sdds::WireRecord& hit = out->emplace_back();
+        hit.key = key;
+        EncodeHitPositions(positions, &hit.value);
       }
     }
 
@@ -217,115 +223,139 @@ Result<std::vector<uint64_t>> EncryptedStore::SearchWithExpansion(
 Result<EncryptedStore::SearchOutcome> EncryptedStore::SearchDetailed(
     std::string_view substring) {
   ESSDDS_ASSIGN_OR_RETURN(SearchQuery query, pipeline_->BuildQuery(substring));
-  const Bytes wire = query.Serialize();
-  // The client-side confirmation reuses the same bit-parallel matcher the
-  // sites run: the query's automata are compiled once per search, not per
-  // candidate record.
-  const BatchMatcher matcher(&query);
 
-  // Parallel scan: every index bucket matches locally and ships back only
-  // the candidate index records.
+  // Parallel scan: every index bucket matches locally and ships back the
+  // key and hit positions of each candidate index record.
   sdds::LhClient::ScanResult scan =
-      index_client_->Scan(match_filter_id_, wire);
+      index_client_->Scan(match_filter_id_, query.Serialize());
 
   SearchOutcome outcome;
   outcome.stats.candidate_index_records = scan.hits.size();
 
   const SchemeParams& p = params();
   const uint32_t k = static_cast<uint32_t>(p.dispersal_sites);
-  const uint32_t symbols = static_cast<uint32_t>(p.symbols_per_chunk());
+  const int64_t symbols = p.symbols_per_chunk();
 
-  // Group candidate index records by (rid, family).
-  std::map<std::pair<uint64_t, uint32_t>, std::map<uint32_t, Bytes>> groups;
-  for (const sdds::WireRecord& hit : scan.hits) {
-    uint64_t rid;
-    uint32_t family, site;
-    ParseIndexKey(hit.key, p, &rid, &family, &site);
-    groups[{rid, family}][site] = hit.value;
+  // A key is rid ∘ family ∘ site, so sorting the hits by key puts the k
+  // site hits of each (rid, family) next to each other, rids ascending.
+  // The index breaks ties so that a duplicated key keeps its last reply.
+  std::vector<std::pair<uint64_t, uint32_t>> order;
+  order.reserve(scan.hits.size());
+  for (size_t i = 0; i < scan.hits.size(); ++i) {
+    order.emplace_back(scan.hits[i].key, static_cast<uint32_t>(i));
   }
+  std::sort(order.begin(), order.end());
 
   // Per family: positions confirmed by ALL k dispersal sites at the same
   // offset (§4: "If all dispersion sites containing dispersed chunks from
-  // the same index record report a hit in the same location").
-  std::map<uint64_t, std::map<uint32_t, std::set<int64_t>>> confirmed;
-  std::vector<uint64_t> stream;  // decode buffer, reused across candidates
-  for (const auto& [group_key, sites] : groups) {
-    const auto& [rid, family] = group_key;
+  // the same index record report a hit in the same location"). Confirmed
+  // families land in (rid, family) order; their positions share one pool.
+  struct Confirmed {
+    uint64_t rid;
+    uint32_t family;
+    size_t begin, end;  // into pool
+  };
+  std::vector<Confirmed> confirmed;
+  std::vector<int64_t> pool;
+  std::vector<int64_t> family_positions, site_positions, merged;
+  std::vector<uint32_t> sites;  // hit indices of one group, one per key
+  for (size_t i = 0; i < order.size();) {
+    uint64_t rid;
+    uint32_t family, site;
+    ParseIndexKey(order[i].first, p, &rid, &family, &site);
+    // The group's distinct keys, each at its last reply.
+    sites.clear();
+    size_t j = i;
+    for (; j < order.size(); ++j) {
+      uint64_t r;
+      uint32_t f, s;
+      ParseIndexKey(order[j].first, p, &r, &f, &s);
+      if (r != rid || f != family) break;
+      if (j + 1 < order.size() && order[j + 1].first == order[j].first) {
+        continue;  // a later reply for the same key wins
+      }
+      sites.push_back(order[j].second);
+    }
+    i = j;
     if (sites.size() < k) continue;  // some dispersal site did not match
-    const uint32_t family_offset =
-        family * static_cast<uint32_t>(p.chunking_stride);
 
-    std::set<int64_t> family_positions;
-    bool first_site = true;
-    for (const auto& [site, payload] : sites) {
+    for (size_t n = 0; n < sites.size(); ++n) {
+      std::vector<int64_t>& target = n == 0 ? family_positions : site_positions;
       ESSDDS_RETURN_IF_ERROR(
-          pipeline_->DeserializeStreamInto(payload, &stream));
-      std::set<int64_t> site_positions;
-      matcher.ForEachOccurrence(
-          family, site, stream, [&](uint32_t alignment, size_t c) {
-            site_positions.insert(
-                ImpliedPosition(family_offset, c, symbols, alignment));
-          });
-      if (first_site) {
-        family_positions = std::move(site_positions);
-        first_site = false;
-      } else {
-        std::set<int64_t> merged;
+          DecodeHitPositions(scan.hits[sites[n]].value, &target));
+      if (n > 0) {
+        merged.clear();
         std::set_intersection(family_positions.begin(), family_positions.end(),
                               site_positions.begin(), site_positions.end(),
-                              std::inserter(merged, merged.begin()));
-        family_positions = std::move(merged);
+                              std::back_inserter(merged));
+        family_positions.swap(merged);
       }
       if (family_positions.empty()) break;
     }
     if (!family_positions.empty()) {
-      confirmed[rid][family] = std::move(family_positions);
-      outcome.stats.families_confirmed++;
+      confirmed.push_back(Confirmed{rid, family, pool.size(),
+                                    pool.size() + family_positions.size()});
+      pool.insert(pool.end(), family_positions.begin(),
+                  family_positions.end());
     }
   }
-  outcome.stats.rids_candidates = confirmed.size();
+  outcome.stats.families_confirmed = confirmed.size();
 
-  // Cross-family combination.
-  std::set<uint32_t> available_alignments;
-  for (const QuerySeries& s : matcher.query().SeriesFor(0)) {
-    available_alignments.insert(s.alignment);
+  // Cross-family combination, one rid (a run of confirmed families) at a
+  // time.
+  std::vector<bool> available(static_cast<size_t>(symbols), false);
+  for (const QuerySeries& s : query.SeriesFor(0)) {
+    available[s.alignment] = true;
   }
-  for (const auto& [rid, families] : confirmed) {
+  auto positions_of = [&](const Confirmed& c) {
+    return std::span<const int64_t>(pool.data() + c.begin, c.end - c.begin);
+  };
+  for (size_t i = 0; i < confirmed.size();) {
+    size_t j = i + 1;
+    while (j < confirmed.size() && confirmed[j].rid == confirmed[i].rid) ++j;
+    const std::span<const Confirmed> families(confirmed.data() + i, j - i);
+    outcome.stats.rids_candidates++;
+
     bool hit = false;
     if (p.combination == CombinationMode::kAnyChunking) {
-      hit = !families.empty();
+      hit = true;
     } else {
       // kAllExpectedChunkings: a position counts only when every family
       // that could structurally observe it confirms it.
-      std::set<int64_t> all_positions;
-      for (const auto& [family, positions] : families) {
-        all_positions.insert(positions.begin(), positions.end());
-      }
-      for (int64_t pos : all_positions) {
-        bool all_expected_confirm = true;
-        int expected = 0;
-        for (int f = 0; f < p.num_chunkings(); ++f) {
-          const int64_t offset = f * p.chunking_stride;
-          const int64_t period = symbols;
-          const uint32_t alignment = static_cast<uint32_t>(
-              ((offset - pos) % period + period) % period);
-          if (!available_alignments.contains(alignment)) continue;
-          ++expected;
-          auto it = families.find(static_cast<uint32_t>(f));
-          if (it == families.end() || !it->second.contains(pos)) {
-            all_expected_confirm = false;
+      auto confirms = [&](uint32_t f, int64_t pos) {
+        for (const Confirmed& c : families) {
+          if (c.family != f) continue;
+          const std::span<const int64_t> positions = positions_of(c);
+          return std::binary_search(positions.begin(), positions.end(), pos);
+        }
+        return false;
+      };
+      for (const Confirmed& c : families) {
+        for (int64_t pos : positions_of(c)) {
+          bool all_expected_confirm = true;
+          int expected = 0;
+          for (int f = 0; f < p.num_chunkings(); ++f) {
+            const int64_t offset = f * p.chunking_stride;
+            const size_t alignment = static_cast<size_t>(
+                ((offset - pos) % symbols + symbols) % symbols);
+            if (!available[alignment]) continue;
+            ++expected;
+            if (!confirms(static_cast<uint32_t>(f), pos)) {
+              all_expected_confirm = false;
+              break;
+            }
+          }
+          if (expected > 0 && all_expected_confirm) {
+            hit = true;
             break;
           }
         }
-        if (expected > 0 && all_expected_confirm) {
-          hit = true;
-          break;
-        }
+        if (hit) break;
       }
     }
-    if (hit) outcome.rids.push_back(rid);
+    if (hit) outcome.rids.push_back(confirmed[i].rid);
+    i = j;
   }
-  std::sort(outcome.rids.begin(), outcome.rids.end());
   outcome.stats.rids_final = outcome.rids.size();
   return outcome;
 }

@@ -340,10 +340,29 @@ Status IndexPipeline::DeserializeStreamInto(ByteSpan data,
   if (r.remaining_bits() < count * static_cast<uint64_t>(bits)) {
     return Status::Corruption("stream payload truncated");
   }
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    ESSDDS_ASSIGN_OR_RETURN(uint64_t v, r.Read(bits));
-    out->push_back(v);
+  // The budget check above bounds every byte read below. Values follow the
+  // 32-bit count MSB-first, so a byte-refilled accumulator unpacks them:
+  // before each take it holds fewer than 8 pending bits, so a take of at
+  // most 56 bits never overflows it; wider values go in two takes.
+  const uint8_t* next = data.data() + 4;
+  uint64_t acc = 0;
+  int pending = 0;
+  auto take = [&](int width) {
+    while (pending < width) {
+      acc = (acc << 8) | *next++;
+      pending += 8;
+    }
+    pending -= width;
+    return (acc >> pending) & ((uint64_t{1} << width) - 1);
+  };
+  out->resize(count);
+  if (bits <= 56) {
+    for (uint64_t& v : *out) v = take(bits);
+  } else {
+    for (uint64_t& v : *out) {
+      const uint64_t high = take(bits - 32);
+      v = (high << 32) | take(32);
+    }
   }
   return Status::OK();
 }

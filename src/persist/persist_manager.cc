@@ -77,9 +77,9 @@ std::vector<PersistManager::RecoveredBucket> PersistManager::Recover() {
   // Scan the directory: collect bucket logs, sweep checkpoint leftovers.
   std::map<uint64_t, ReplayResult> replayed;
   std::error_code ec;
-  std::filesystem::directory_iterator it(options_.dir, ec);
+  std::filesystem::directory_iterator dir_it(options_.dir, ec);
   if (!ec) {
-    for (const auto& entry : it) {
+    for (const auto& entry : dir_it) {
       const std::string name = entry.path().filename().string();
       if (name.size() > 4 && name.ends_with(".tmp")) {
         std::filesystem::remove(entry.path(), ec);

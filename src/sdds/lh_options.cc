@@ -33,8 +33,15 @@ class PredicateFilter : public ScanFilter {
                       Bytes arg)
         : predicate_(predicate), arg_(std::move(arg)) {}
 
-    bool Matches(uint64_t key, ByteSpan value) const override {
-      return (*predicate_)(key, value, arg_);
+    void MatchColumns(const ColumnSlice& slice,
+                      std::vector<WireRecord>* out) const override {
+      for (size_t i = 0; i < slice.count; ++i) {
+        const ByteSpan payload = slice.payload(i);
+        if ((*predicate_)(slice.keys[i], payload, arg_)) {
+          out->push_back(
+              WireRecord{slice.keys[i], Bytes(payload.begin(), payload.end())});
+        }
+      }
     }
 
    private:

@@ -228,13 +228,14 @@ inline uint64_t LhKeyImage(uint64_t key, const LhOptions& options) {
 /// Site-side scan predicate, deployed at every bucket (stands in for query
 /// code shipped to the sites). A scan delivers its opaque wire argument
 /// once per bucket via Prepare(), which compiles it into an immutable
-/// per-scan state; Matches() then runs per record against that state.
+/// per-scan state; MatchColumns() then evaluates a whole bucket against
+/// that state.
 ///
 /// Lifecycle: Prepare() is thread-safe and called with the scan message's
 /// argument bytes — once per (scan, bucket) in the serial inline mode, but
 /// only once per scan in deferred (thread-pool) mode, where the single
 /// returned Prepared instance is shared by every bucket of that scan and
-/// its Matches() runs concurrently from several workers. Matches() must
+/// its MatchColumns() runs concurrently from several workers. It must
 /// therefore be const and thread-safe: no unsynchronized mutable members —
 /// per-thread scratch buffers belong in thread_local storage. A Prepared
 /// never outlives its scan.
@@ -244,27 +245,13 @@ class ScanFilter {
    public:
     virtual ~Prepared() = default;
 
-    /// True when the record is a hit. Called once per record of the bucket;
-    /// implementations should avoid per-record allocation.
-    virtual bool Matches(uint64_t key, ByteSpan value) const = 0;
-
-    /// Batch evaluation over a whole bucket's columnar slice — the one
-    /// scan path: appends a WireRecord{key, payload} to `out` for every
-    /// hit, in ascending index (= ascending key) order. One virtual call
-    /// per bucket instead of one per record, and the payloads stream out of
-    /// a contiguous arena. The default walks Matches() per record; filters
-    /// with a batch engine (bit-parallel matchers) override it. Must
-    /// produce exactly the hits the per-record Matches() would.
+    /// Evaluates a whole bucket's columnar slice — the one scan path:
+    /// appends one WireRecord to `out` per hit, in ascending index
+    /// (= ascending key) order. The filter chooses the reply value: the
+    /// record's payload, or what the site computed about it (the encrypted
+    /// store's match filter replies with hit positions).
     virtual void MatchColumns(const ColumnSlice& slice,
-                              std::vector<WireRecord>* out) const {
-      for (size_t i = 0; i < slice.count; ++i) {
-        const ByteSpan payload = slice.payload(i);
-        if (Matches(slice.keys[i], payload)) {
-          out->push_back(
-              WireRecord{slice.keys[i], Bytes(payload.begin(), payload.end())});
-        }
-      }
-    }
+                              std::vector<WireRecord>* out) const = 0;
   };
 
   virtual ~ScanFilter() = default;
@@ -276,7 +263,8 @@ class ScanFilter {
 
 /// Adapts a stateless predicate to the ScanFilter interface, for filters
 /// with no per-scan compilation step (tests, simple selections). The
-/// predicate receives the scan argument on every call.
+/// predicate receives the scan argument on every call; a hit replies with
+/// the record's payload.
 std::unique_ptr<ScanFilter> MakeScanFilter(
     std::function<bool(uint64_t key, ByteSpan value, ByteSpan arg)> predicate);
 

@@ -101,9 +101,9 @@ void Network::DrainDeferredScans() {
 
   // One Prepare() per scan, not per bucket: tasks with the same filter and
   // the same argument belong to the same scan, so they share one compiled
-  // filter instance (Prepared::Matches is const and thread-safe; see the
-  // ScanFilter contract). A scan whose argument fails to compile shares the
-  // nullptr — every one of its buckets answers empty. Tasks a bucket
+  // filter instance (Prepared::MatchColumns is const and thread-safe; see
+  // the ScanFilter contract). A scan whose argument fails to compile shares
+  // the nullptr — every one of its buckets answers empty. Tasks a bucket
   // already resolved ahead of a mutation carry their hits and are skipped.
   std::vector<std::unique_ptr<ScanFilter::Prepared>> prepared_pool;
   std::map<std::pair<const ScanFilter*, Bytes>, const ScanFilter::Prepared*>

@@ -1,19 +1,22 @@
 #include "util/bitstream.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace essdds {
 
 void BitWriter::Write(uint64_t value, int bits) {
   ESSDDS_CHECK(bits >= 1 && bits <= 64);
-  for (int i = bits - 1; i >= 0; --i) {
-    const int bit = static_cast<int>((value >> i) & 1);
-    const size_t byte_index = bit_count_ / 8;
-    if (byte_index == buffer_.size()) buffer_.push_back(0);
-    if (bit) {
-      buffer_[byte_index] |= static_cast<uint8_t>(1u << (7 - bit_count_ % 8));
-    }
-    ++bit_count_;
+  // Fills the open byte, then whole bytes, then opens the last partial one.
+  int left = bits;
+  while (left > 0) {
+    const int used = static_cast<int>(bit_count_ % 8);
+    if (used == 0) buffer_.push_back(0);
+    const int take = std::min(8 - used, left);
+    const uint64_t piece = (value >> (left - take)) & ((1u << take) - 1);
+    buffer_.back() |= static_cast<uint8_t>(piece << (8 - used - take));
+    left -= take;
+    bit_count_ += static_cast<size_t>(take);
   }
 }
 
@@ -27,12 +30,16 @@ Result<uint64_t> BitReader::Read(int bits) {
   if (remaining_bits() < static_cast<size_t>(bits)) {
     return Status::OutOfRange("bit stream exhausted");
   }
+  // Takes every wanted bit of the current byte at once.
   uint64_t v = 0;
-  for (int i = 0; i < bits; ++i) {
-    const size_t byte_index = pos_ / 8;
-    const int bit = (data_[byte_index] >> (7 - pos_ % 8)) & 1;
-    v = (v << 1) | static_cast<uint64_t>(bit);
-    ++pos_;
+  int left = bits;
+  while (left > 0) {
+    const int used = static_cast<int>(pos_ % 8);
+    const int take = std::min(8 - used, left);
+    const unsigned byte = data_[pos_ / 8];
+    v = (v << take) | ((byte >> (8 - used - take)) & ((1u << take) - 1));
+    left -= take;
+    pos_ += static_cast<size_t>(take);
   }
   return v;
 }

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/batch_matcher.h"
+#include "core/hit_positions.h"
 #include "util/random.h"
 #include "workload/phonebook.h"
 
@@ -156,8 +161,218 @@ INSTANTIATE_TEST_SUITE_P(
                     SchemeParams{.codes_per_chunk = 4,
                                  .dispersal_sites = 4,
                                  .combination =
-                                     CombinationMode::kAllExpectedChunkings}}),
+                                     CombinationMode::kAllExpectedChunkings}},
+        StoreConfig{"per_family_keys",
+                    SchemeParams{.codes_per_chunk = 4,
+                                 .dispersal_sites = 2,
+                                 .combination =
+                                     CombinationMode::kAllExpectedChunkings,
+                                 .per_family_keys = true}}),
     [](const auto& param_info) { return param_info.param.name; });
+
+// The client confirmation as it ran when sites shipped whole index
+// streams: every index record of the file goes through the site matcher,
+// the client decodes each candidate's stream again, rebuilds every site's
+// implied positions, intersects them in std::sets and combines families
+// in std::maps. Run over the raw index payloads, it checks the sites'
+// position replies and the client's sorted intersection together.
+EncryptedStore::SearchOutcome DecodeOracle(EncryptedStore& store,
+                                           std::string_view needle) {
+  const SchemeParams& p = store.params();
+  auto query = store.pipeline().BuildQuery(needle);
+  EXPECT_TRUE(query.ok()) << query.status();
+  const BatchMatcher matcher(&*query);
+  const uint32_t k = static_cast<uint32_t>(p.dispersal_sites);
+  const int64_t symbols = p.symbols_per_chunk();
+
+  EncryptedStore::SearchOutcome outcome;
+  std::map<std::pair<uint64_t, uint32_t>,
+           std::map<uint32_t, std::vector<uint64_t>>>
+      groups;
+  const sdds::LhSystem& file = store.index_file();
+  for (uint64_t b = 0; b < file.bucket_count(); ++b) {
+    for (const auto& [key, payload] : file.bucket(b).records()) {
+      uint64_t rid;
+      uint32_t family, site;
+      ParseIndexKey(key, p, &rid, &family, &site);
+      auto stream = store.pipeline().DeserializeStream(payload);
+      EXPECT_TRUE(stream.ok());
+      if (!matcher.Matches(family, site, *stream)) continue;
+      ++outcome.stats.candidate_index_records;
+      groups[{rid, family}][site] = *std::move(stream);
+    }
+  }
+
+  std::map<uint64_t, std::map<uint32_t, std::set<int64_t>>> confirmed;
+  for (const auto& [group_key, sites] : groups) {
+    const auto& [rid, family] = group_key;
+    if (sites.size() < k) continue;
+    const int64_t family_offset = family * p.chunking_stride;
+    std::set<int64_t> family_positions;
+    bool first_site = true;
+    for (const auto& [site, stream] : sites) {
+      std::set<int64_t> site_positions;
+      matcher.ForEachOccurrence(
+          family, site, stream, [&](uint32_t alignment, size_t c) {
+            site_positions.insert(family_offset +
+                                  static_cast<int64_t>(c) * symbols -
+                                  static_cast<int64_t>(alignment));
+          });
+      if (first_site) {
+        family_positions = std::move(site_positions);
+        first_site = false;
+      } else {
+        std::set<int64_t> merged;
+        std::set_intersection(family_positions.begin(), family_positions.end(),
+                              site_positions.begin(), site_positions.end(),
+                              std::inserter(merged, merged.begin()));
+        family_positions = std::move(merged);
+      }
+    }
+    if (!family_positions.empty()) {
+      confirmed[rid][family] = std::move(family_positions);
+      outcome.stats.families_confirmed++;
+    }
+  }
+  outcome.stats.rids_candidates = confirmed.size();
+
+  std::set<uint32_t> available_alignments;
+  for (const QuerySeries& s : query->SeriesFor(0)) {
+    available_alignments.insert(s.alignment);
+  }
+  for (const auto& [rid, families] : confirmed) {
+    bool hit = false;
+    if (p.combination == CombinationMode::kAnyChunking) {
+      hit = true;
+    } else {
+      std::set<int64_t> all_positions;
+      for (const auto& [family, positions] : families) {
+        all_positions.insert(positions.begin(), positions.end());
+      }
+      for (int64_t pos : all_positions) {
+        bool all_expected_confirm = true;
+        int expected = 0;
+        for (int f = 0; f < p.num_chunkings(); ++f) {
+          const int64_t offset = f * p.chunking_stride;
+          const uint32_t alignment = static_cast<uint32_t>(
+              ((offset - pos) % symbols + symbols) % symbols);
+          if (!available_alignments.contains(alignment)) continue;
+          ++expected;
+          auto it = families.find(static_cast<uint32_t>(f));
+          if (it == families.end() || !it->second.contains(pos)) {
+            all_expected_confirm = false;
+            break;
+          }
+        }
+        if (expected > 0 && all_expected_confirm) {
+          hit = true;
+          break;
+        }
+      }
+    }
+    if (hit) outcome.rids.push_back(rid);
+  }
+  outcome.stats.rids_final = outcome.rids.size();
+  return outcome;
+}
+
+void ExpectSameAsOracle(EncryptedStore& store, const std::string& needle) {
+  auto got = store.SearchDetailed(needle);
+  ASSERT_TRUE(got.ok()) << got.status();
+  const EncryptedStore::SearchOutcome want = DecodeOracle(store, needle);
+  EXPECT_EQ(got->rids, want.rids) << "'" << needle << "'";
+  EXPECT_EQ(got->stats.candidate_index_records,
+            want.stats.candidate_index_records)
+      << "'" << needle << "'";
+  EXPECT_EQ(got->stats.families_confirmed, want.stats.families_confirmed)
+      << "'" << needle << "'";
+  EXPECT_EQ(got->stats.rids_candidates, want.stats.rids_candidates)
+      << "'" << needle << "'";
+  EXPECT_EQ(got->stats.rids_final, want.stats.rids_final)
+      << "'" << needle << "'";
+}
+
+// Hit-position replies plus the sorted intersection at the client give
+// exactly what decoding every candidate at the client gave: the same rids
+// and the same per-stage counts, false positives included.
+TEST_P(EncryptedStoreConfigTest, ConfirmationMatchesDecodeOracle) {
+  workload::PhonebookGenerator gen(4242);
+  auto corpus = gen.Generate(150);
+  std::vector<std::string> training;
+  for (const auto& r : corpus) training.push_back(r.name);
+  auto store = MakeStore(GetParam().params, training);
+  for (const auto& r : corpus) ASSERT_TRUE(store->Insert(r.rid, r.name).ok());
+
+  const size_t min_len = store->params().min_query_symbols();
+  std::vector<std::string> needles;
+  for (const auto* rec : workload::SampleRecords(corpus, 25, 5)) {
+    needles.emplace_back(workload::SurnameOf(*rec));
+  }
+  Rng rng(17);
+  for (int i = 0; i < 40; ++i) {
+    const std::string& name = corpus[rng.Uniform(corpus.size())].name;
+    if (name.size() < min_len) continue;
+    const size_t len = min_len + rng.Uniform(name.size() - min_len + 1);
+    needles.push_back(name.substr(rng.Uniform(name.size() - len + 1), len));
+  }
+  needles.push_back(std::string(min_len, 'A'));  // short, frequent symbols
+  needles.push_back("QXZQXZQXZ");
+  size_t compared = 0;
+  for (const std::string& needle : needles) {
+    if (needle.size() < min_len) continue;
+    ExpectSameAsOracle(*store, needle);
+    ++compared;
+  }
+  EXPECT_GT(compared, 30u);
+}
+
+// The paper's ADAMS-in-DAMSTER case: the query's second chunk DAMS matches
+// at the start of DAMSTER, so the implied occurrence starts one symbol
+// before the record — a negative position on the wire and in the
+// intersection.
+TEST(EncryptedStoreTest, NegativeHitPositionMatchesDecodeOracle) {
+  for (CombinationMode mode : {CombinationMode::kAnyChunking,
+                               CombinationMode::kAllExpectedChunkings}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    SchemeParams p{.codes_per_chunk = 4,
+                   .dispersal_sites = 2,
+                   .combination = mode};
+    auto store = MakeStore(p);
+    ASSERT_TRUE(store->Insert(1, "DAMSTER").ok());
+    ASSERT_TRUE(store->Insert(2, "ADAMS JOHN").ok());
+    ASSERT_TRUE(store->Insert(3, "SCHWARZ THOMAS").ok());
+
+    // Every dispersal site of rid 1's family 0 replies position -1. The
+    // store installs its match filter first, so it is filter 0.
+    auto query = store->pipeline().BuildQuery("ADAMS");
+    ASSERT_TRUE(query.ok());
+    const auto scan =
+        store->index_file().NewClient()->Scan(0, query->Serialize());
+    size_t negative_sites = 0;
+    for (const sdds::WireRecord& hit : scan.hits) {
+      uint64_t rid;
+      uint32_t family, site;
+      ParseIndexKey(hit.key, p, &rid, &family, &site);
+      std::vector<int64_t> positions;
+      ASSERT_TRUE(DecodeHitPositions(hit.value, &positions).ok());
+      if (rid == 1 && family == 0) {
+        EXPECT_EQ(positions, std::vector<int64_t>{-1}) << "site " << site;
+        ++negative_sites;
+      }
+    }
+    EXPECT_EQ(negative_sites, 2u);
+
+    ExpectSameAsOracle(*store, "ADAMS");
+    auto rids = store->Search("ADAMS");
+    ASSERT_TRUE(rids.ok());
+    // Any-chunking keeps the DAMSTER false positive; all-expected drops it
+    // because family 3 should see the same occurrence and cannot.
+    const std::vector<uint64_t> want =
+        mode == CombinationMode::kAnyChunking ? std::vector<uint64_t>{1, 2}
+                                              : std::vector<uint64_t>{2};
+    EXPECT_EQ(*rids, want);
+  }
+}
 
 // The core correctness property across all configurations: NO FALSE
 // NEGATIVES. Every true occurrence of length >= min_query_symbols is found.

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "core/matcher.h"
+#include "util/bitstream.h"
+#include "util/random.h"
 
 namespace essdds::core {
 namespace {
@@ -190,6 +192,36 @@ TEST(IndexPipelineTest, StreamSerializationRoundTrip) {
       auto back = pipe->DeserializeStream(wire);
       ASSERT_TRUE(back.ok());
       EXPECT_EQ(*back, r.stream);
+    }
+  }
+}
+
+TEST(IndexPipelineTest, StreamDecodeMatchesBitReaderAtEveryValueWidth) {
+  // The decode unpacks whole bytes through an accumulator; this pins it to
+  // a value-at-a-time BitReader walk for every stored value width a scheme
+  // can have, 2..64 (undispersed chunks of one-bit codes; the PRP domain
+  // and the dispersal matrix both rule out 1-bit values), and stream
+  // lengths that end on and off byte boundaries.
+  Rng rng(0xb175);
+  for (int width = 2; width <= 64; ++width) {
+    SchemeParams p{.num_codes = 2, .codes_per_chunk = width};
+    auto pipe = IndexPipeline::Create(p, Master(), Corpus());
+    ASSERT_TRUE(pipe.ok()) << width << ": " << pipe.status();
+    ASSERT_EQ(pipe->stream_value_bits(), width);
+    const uint64_t mask =
+        width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+    for (size_t len : {size_t{0}, size_t{1}, size_t{7}, size_t{13}}) {
+      std::vector<uint64_t> stream(len);
+      for (uint64_t& v : stream) v = rng.Next() & mask;
+      const Bytes wire = pipe->SerializeStream(stream);
+      BitReader r(wire);
+      ASSERT_EQ(r.Read(32).value(), len);
+      std::vector<uint64_t> reference;
+      for (size_t i = 0; i < len; ++i) reference.push_back(*r.Read(width));
+      std::vector<uint64_t> decoded = {42};  // must be cleared first
+      ASSERT_TRUE(pipe->DeserializeStreamInto(wire, &decoded).ok());
+      EXPECT_EQ(decoded, reference) << "width " << width << " len " << len;
+      EXPECT_EQ(decoded, stream);
     }
   }
 }

@@ -180,7 +180,7 @@ TEST_F(BucketLogTest, AdoptRepairsTornTailAndRetiresOldNonces) {
     auto log = Open("bucket-0.log", /*fresh=*/true);
     ASSERT_NE(log, nullptr);
     for (uint64_t k = 0; k < 10; ++k) {
-      state[k] = ToBytes("v" + std::to_string(k));
+      state[k] = ToBytes(std::string("v").append(std::to_string(k)));
       ASSERT_TRUE(log->AppendPut(k, ByteSpan(state[k])));
     }
     old_epoch = log->epoch();

@@ -217,7 +217,8 @@ TEST(EventNetworkSystemTest, InsertLookupDeleteAcrossSplits) {
   LhSystem sys(EventOptions(2024));
   LhClient* c = sys.NewClient();
   for (uint64_t k = 0; k < 200; ++k) {
-    EXPECT_FALSE(c->Insert(k, ToBytes("v" + std::to_string(k))));
+    EXPECT_FALSE(
+        c->Insert(k, ToBytes(std::string("v").append(std::to_string(k)))));
   }
   sys.network().PumpUntilIdle();  // let restructuring settle
   EXPECT_GT(sys.bucket_count(), 1u) << "capacity 8 must have split";
@@ -225,7 +226,7 @@ TEST(EventNetworkSystemTest, InsertLookupDeleteAcrossSplits) {
   for (uint64_t k = 0; k < 200; ++k) {
     auto r = c->Lookup(k);
     ASSERT_TRUE(r.ok()) << "key " << k;
-    EXPECT_EQ(*r, ToBytes("v" + std::to_string(k)));
+    EXPECT_EQ(*r, ToBytes(std::string("v").append(std::to_string(k))));
   }
   EXPECT_TRUE(c->Delete(77).ok());
   EXPECT_TRUE(c->Lookup(77).status().IsNotFound());

@@ -111,7 +111,10 @@ WorkloadResult RunWorkload(LhOptions options, uint64_t seed,
       rec.kind = 'i';
       rec.flag = c->Insert(
           rec.key,
-          ToBytes("v" + std::to_string(rec.key) + "-" + std::to_string(i)));
+          ToBytes(std::string("v")
+                      .append(std::to_string(rec.key))
+                      .append("-")
+                      .append(std::to_string(i))));
     } else if (pick < 75) {
       rec.kind = 'l';
       auto r = c->Lookup(rec.key);

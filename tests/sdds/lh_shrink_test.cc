@@ -10,7 +10,9 @@
 namespace essdds::sdds {
 namespace {
 
-Bytes Val(uint64_t k) { return ToBytes("v" + std::to_string(k)); }
+Bytes Val(uint64_t k) {
+  return ToBytes(std::string("v").append(std::to_string(k)));
+}
 
 LhOptions ShrinkingOptions() {
   return LhOptions{.bucket_capacity = 8, .merge_threshold = 0.25};

@@ -16,7 +16,9 @@ namespace {
 
 using obs::HopKind;
 
-Bytes ValueFor(uint64_t key) { return ToBytes("v" + std::to_string(key)); }
+Bytes ValueFor(uint64_t key) {
+  return ToBytes(std::string("v").append(std::to_string(key)));
+}
 
 LhOptions EventOptions(uint64_t seed, double drop_prob) {
   LhOptions o;

@@ -56,11 +56,13 @@ void AddBucket(Buckets& buckets, std::map<uint64_t, Bytes> records) {
 }
 
 /// A filter selective enough that hit sets are a strict, non-empty subset.
+bool Selective(uint64_t key, ByteSpan value, ByteSpan arg) {
+  if (arg.empty()) return true;
+  return !value.empty() && key % 3 == static_cast<uint64_t>(arg[0]) % 3;
+}
+
 std::unique_ptr<ScanFilter> SelectiveFilter() {
-  return MakeScanFilter([](uint64_t key, ByteSpan value, ByteSpan arg) {
-    if (arg.empty()) return true;
-    return !value.empty() && key % 3 == static_cast<uint64_t>(arg[0]) % 3;
-  });
+  return MakeScanFilter(Selective);
 }
 
 ScanTask MakeTask(uint64_t bucket, const ColumnStore& columns,
@@ -86,16 +88,14 @@ std::vector<ScanTask> MakeBatch(const Buckets& buckets,
   return tasks;
 }
 
-/// The ground truth, independent of the columnar path: the prepared
-/// filter's per-record predicate over each bucket's map, in key order.
+/// The ground truth, independent of the columnar path: the predicate
+/// called directly over each bucket's map, in key order.
 std::vector<std::vector<WireRecord>> OracleHits(const Buckets& buckets,
-                                                const ScanFilter& filter,
                                                 const Bytes& arg) {
-  const std::unique_ptr<ScanFilter::Prepared> prepared = filter.Prepare(arg);
   std::vector<std::vector<WireRecord>> hits(buckets.size());
   for (size_t b = 0; b < buckets.size(); ++b) {
     for (const auto& [key, value] : buckets[b].records) {
-      if (prepared->Matches(key, value)) {
+      if (Selective(key, value, arg)) {
         hits[b].push_back(WireRecord{key, value});
       }
     }
@@ -112,7 +112,7 @@ std::vector<std::vector<WireRecord>> SerialHits(const Buckets& buckets,
   std::vector<std::vector<WireRecord>> hits;
   hits.reserve(tasks.size());
   for (ScanTask& task : tasks) hits.push_back(std::move(task.reply.records));
-  EXPECT_EQ(hits, OracleHits(buckets, filter, arg))
+  EXPECT_EQ(hits, OracleHits(buckets, arg))
       << "serial columnar scan diverged from the map-walk oracle";
   return hits;
 }

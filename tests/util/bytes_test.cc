@@ -147,6 +147,78 @@ TEST(BitStreamTest, RandomizedRoundTrip) {
   }
 }
 
+/// Bit-at-a-time MSB-first packing: the layout BitWriter and BitReader
+/// produce and parse whole bytes at a time, and must keep byte for byte.
+void ReferenceWrite(uint64_t value, int bits, Bytes* buf, size_t* bit_count) {
+  for (int i = bits - 1; i >= 0; --i) {
+    if (*bit_count / 8 == buf->size()) buf->push_back(0);
+    if ((value >> i) & 1) {
+      (*buf)[*bit_count / 8] |=
+          static_cast<uint8_t>(1u << (7 - *bit_count % 8));
+    }
+    ++*bit_count;
+  }
+}
+
+uint64_t ReferenceRead(ByteSpan data, size_t pos, int bits) {
+  uint64_t v = 0;
+  for (int i = 0; i < bits; ++i, ++pos) {
+    v = (v << 1) | ((data[pos / 8] >> (7 - pos % 8)) & 1);
+  }
+  return v;
+}
+
+TEST(BitStreamTest, WriterMatchesBitAtATimeReferenceAtEveryWidth) {
+  Rng rng(64);
+  for (int start = 0; start < 8; ++start) {
+    for (int bits = 1; bits <= 64; ++bits) {
+      BitWriter w;
+      Bytes ref;
+      size_t ref_bits = 0;
+      if (start > 0) {
+        const uint64_t lead = rng.Next();
+        w.Write(lead, start);
+        ReferenceWrite(lead, start, &ref, &ref_bits);
+      }
+      for (int i = 0; i < 9; ++i) {
+        // Unmasked values: bits above the width must be ignored.
+        const uint64_t v = rng.Next();
+        w.Write(v, bits);
+        ReferenceWrite(v, bits, &ref, &ref_bits);
+      }
+      ASSERT_EQ(w.buffer(), ref) << "start " << start << " width " << bits;
+      EXPECT_EQ(w.bit_count(), ref_bits);
+    }
+  }
+}
+
+TEST(BitStreamTest, ReaderMatchesBitAtATimeReferenceAtEveryWidth) {
+  Rng rng(65);
+  Bytes data(40);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
+  for (int start = 0; start < 8; ++start) {
+    for (int bits = 1; bits <= 64; ++bits) {
+      BitReader r(data);
+      size_t pos = 0;
+      if (start > 0) {
+        ASSERT_EQ(r.Read(start).value(), ReferenceRead(data, 0, start));
+        pos = static_cast<size_t>(start);
+      }
+      while (r.remaining_bits() >= static_cast<size_t>(bits)) {
+        auto got = r.Read(bits);
+        ASSERT_TRUE(got.ok());
+        ASSERT_EQ(*got, ReferenceRead(data, pos, bits))
+            << "start " << start << " width " << bits << " at bit " << pos;
+        pos += static_cast<size_t>(bits);
+      }
+      // Exhaustion fails without consuming anything.
+      const size_t left = r.remaining_bits();
+      EXPECT_TRUE(r.Read(bits).status().IsOutOfRange());
+      EXPECT_EQ(r.remaining_bits(), left);
+    }
+  }
+}
+
 TEST(RngTest, Deterministic) {
   Rng a(7), b(7);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());
